@@ -318,7 +318,7 @@ double bench_engine_steps(bool sampled, std::size_t ops) {
     // handful per node); all read live state.
     for (int i = 0; i < 4; ++i) {
       tl.add_probe("perf.qdepth", i, [&eng]() {
-        return static_cast<double>(eng.shard_pending(0));
+        return static_cast<double>(eng.pending_events());
       });
     }
     tl.add_probe("perf.fired", -1,

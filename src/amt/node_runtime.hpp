@@ -76,8 +76,8 @@ class NodeRuntime {
 
   // --- fail-stop recovery hooks (no-ops unless ft was passed) -----------
   /// Ground-truth crash notification: this node stops doing work.  Its
-  /// DES shard was already cancelled by the fabric; this guards the
-  /// SimThread work items (workers, comm loop) that live on shard 0.
+  /// tagged DES events were already cancelled by the fabric; this guards
+  /// the untagged SimThread work items (workers, comm loop).
   void mark_crashed();
   bool crashed() const { return dead_; }
   /// Drops protocol state wedged on a confirmed-dead peer: pending

@@ -15,9 +15,9 @@ void install_standard_probes(obs::Timeline& tl, net::Fabric& fabric,
   const int n = fabric.num_nodes();
 
   for (int node = 0; node < n; ++node) {
-    const auto shard = net::Fabric::shard_of(node);
-    tl.add_probe("des.qdepth", node, [&eng, shard]() {
-      return static_cast<double>(eng.shard_pending(shard));
+    const auto owner = net::Fabric::owner_of(node);
+    tl.add_probe("des.qdepth", node, [&eng, owner]() {
+      return static_cast<double>(eng.owner_pending(owner));
     });
   }
 

@@ -84,7 +84,7 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
   }
 
   /// This node itself restarted: reset every view and restart the timer
-  /// (the crash cancelled it along with the rest of the node's shard).
+  /// (the crash cancelled it along with the node's other events).
   void self_restarted() {
     const des::Time now = eng().now();
     std::fill(last_rx_.begin(), last_rx_.end(), now);
@@ -100,7 +100,7 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
 
   void arm_timer() {
     if (domain_.stopped_) return;
-    timer_ = eng().schedule_on(net::Fabric::shard_of(node_),
+    timer_ = eng().schedule_on(net::Fabric::owner_of(node_),
                                eng().now() + domain_.cfg_.heartbeat_interval,
                                [this]() { tick(); });
   }
@@ -186,7 +186,7 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
   FailureDetectorDomain& domain_;
   int node_;
   net::LinkShim* inner_ = nullptr;
-  des::ShardedEventQueue::Id timer_;
+  des::EventId timer_ = des::kInvalidEvent;
   std::vector<des::Time> last_rx_;
   std::vector<des::Time> last_tx_;
   std::vector<double> mean_gap_;     ///< EWMA inter-arrival gap (ns)
@@ -206,7 +206,7 @@ FailureDetectorDomain::FailureDetectorDomain(net::Fabric& fabric, FdConfig cfg)
     nodes_.emplace_back(std::make_unique<NodeDetector>(*this, node));
   }
   fabric_.add_crash_handler([this](net::NodeId node, bool up) {
-    if (!up) return;  // the crash itself needs no action: the shard died
+    if (!up) return;  // the crash itself needs no action: the timer died
     nodes_[static_cast<std::size_t>(node)]->self_restarted();
     for (auto& d : nodes_) d->peer_restarted(node);
   });

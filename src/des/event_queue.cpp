@@ -7,8 +7,8 @@
 namespace des {
 
 // Cold paths of the calendar/timing-wheel hybrid: wheel rotation,
-// overflow re-spill, the amortized tombstone sweep, and whole-queue
-// teardown.  Hot-path methods (schedule, pop, cancel, reschedule, the
+// overflow re-spill, the amortized tombstone sweep, and per-owner
+// cancellation.  Hot-path methods (schedule, pop, cancel, reschedule, the
 // cursor walk) live inline in the header — they are the simulator's
 // innermost loop.
 
@@ -170,22 +170,16 @@ void EventQueue::compact() {
   std::erase_if(stage_, [this](const Entry& e) { return !entry_live(e); });
 }
 
-std::size_t EventQueue::cancel_all() {
+std::size_t EventQueue::cancel_owner(std::uint32_t owner) {
   std::size_t n = 0;
   for (std::uint32_t idx = 0; idx < slots_.size(); ++idx) {
-    if (!slots_[idx].live) continue;
-    release(idx);
+    const Slot& s = slots_[idx];
+    if (!s.live || s.owner != owner) continue;
+    release(idx);  // the queue entry stays behind as a tombstone
     ++n;
   }
-  for (std::vector<Entry>& b : wheel_) b.clear();
-  std::fill(std::begin(occ_), std::end(occ_), 0ull);
-  overflow_.clear();
-  stage_.clear();
-  wheel_entries_ = 0;
-  cur_pos_ = 0;
-  live_count_ = 0;
-  // The window (wheel_base_, cur_) is kept: simulation time only moves
-  // forward, so the next schedule re-populates the same era.
+  live_count_ -= n;
+  maybe_compact();
   return n;
 }
 

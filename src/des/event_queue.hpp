@@ -43,6 +43,15 @@
 // stays in its slot, the old entry becomes a tombstone, and the event
 // behaves exactly as if it had been cancelled and re-scheduled at the new
 // time (fresh FIFO seq) — minus the callback teardown and slot churn.
+//
+// Every event carries an owner tag in its slot (schedule_on; 0 means
+// untagged).  Tags never influence firing order.  They serve two cold
+// needs: cancel_owner() drops every pending event of one simulated node
+// (fail-stop crash), and owner_size() reports how many events a node has
+// pending (per-node queue-depth probes) from a count that schedule, pop
+// and cancel keep current for tagged events.  Untagged events skip the
+// count, so plain schedule()/pop() pay nothing for tags beyond one store
+// and one branch.
 #pragma once
 
 #include <algorithm>
@@ -71,41 +80,38 @@ class EventQueue {
   /// intermediate Callback hop).  Defined inline below: schedule/pop are
   /// the simulator's innermost loop and must inline into callers.
   template <typename F>
-  AMTLCE_DES_HOT_INLINE EventId schedule(Time t, F&& fn);
+  AMTLCE_DES_HOT_INLINE EventId schedule(Time t, F&& fn) {
+    return schedule_on(0, t, std::forward<F>(fn));
+  }
 
-  /// schedule() with an externally supplied FIFO sequence number.  Used by
-  /// ShardedEventQueue to impose ONE global (time, seq) order across many
-  /// per-shard queues: each shard stores its events under seqs drawn from
-  /// the shared counter, so merging shard fronts by (time, seq) reproduces
-  /// exactly the order a single monolithic queue would produce.  `seq`
-  /// values must be strictly increasing across calls (including plain
-  /// schedule()/reschedule(), which advance the same internal counter when
-  /// used standalone) and must stay below 2^40.
+  /// schedule() with an owner tag stored in the event's slot (see
+  /// cancel_owner / owner_size).  The tag never affects firing order.
   template <typename F>
-  AMTLCE_DES_HOT_INLINE EventId schedule_seq(Time t, std::uint64_t seq,
-                                             F&& fn);
+  AMTLCE_DES_HOT_INLINE EventId schedule_on(std::uint32_t owner, Time t,
+                                            F&& fn);
 
   /// Cancels a pending event.  Returns false if the id is unknown or the
   /// event already fired.
   AMTLCE_DES_HOT_INLINE bool cancel(EventId id);
 
-  /// Moves a pending event to absolute time `t`, keeping its callback.
-  /// Equivalent to cancel + schedule of the same callback (the event gets
-  /// a fresh FIFO position among equal timestamps) without the slot and
-  /// callback churn.  Returns false if the id is unknown or already fired.
+  /// Moves a pending event to absolute time `t`, keeping its callback and
+  /// owner.  Equivalent to cancel + schedule of the same callback (the
+  /// event gets a fresh FIFO position among equal timestamps) without the
+  /// slot and callback churn.  Returns false if the id is unknown or
+  /// already fired.
   AMTLCE_DES_HOT_INLINE bool reschedule(EventId id, Time t);
 
-  /// reschedule() with an externally supplied FIFO sequence number (see
-  /// schedule_seq); the moved event re-queues as if freshly scheduled
-  /// under `seq`.
-  AMTLCE_DES_HOT_INLINE bool reschedule_seq(EventId id, Time t,
-                                            std::uint64_t seq);
+  /// Cancels every pending event tagged `owner` (fail-stop node crash).
+  /// Their EventIds go stale and callbacks are destroyed without firing;
+  /// queue entries stay behind as tombstones.  Returns the number of
+  /// events cancelled.  Cold path: one walk over the slab.
+  std::size_t cancel_owner(std::uint32_t owner);
 
-  /// Cancels every pending event at once (fail-stop node crash: the
-  /// node's whole shard dies).  All outstanding EventIds go stale and
-  /// callbacks are destroyed without firing.  Returns the number of
-  /// events cancelled.  Cold path: O(slab + buckets), not amortized.
-  std::size_t cancel_all();
+  /// Pending events tagged `owner` (>= 1; untagged events are not
+  /// counted, see size() for the total).
+  std::size_t owner_size(std::uint32_t owner) const {
+    return owner < owner_live_.size() ? owner_live_[owner] : 0;
+  }
 
   /// Pre-sizes internal storage — slab, overflow tier, and every wheel
   /// bucket — so a steady-state workload of up to `events` concurrent
@@ -130,18 +136,6 @@ class EventQueue {
   /// Time of the earliest pending event, or kTimeNever when empty.
   AMTLCE_DES_HOT_INLINE Time next_time();
 
-  /// The front event's (time, seq) after dropping tombstones.  Returns
-  /// false when the queue is empty.  The seq is the FIFO sequence the
-  /// event was scheduled under (external when schedule_seq was used), so
-  /// ShardedEventQueue can compare fronts across shards exactly.
-  AMTLCE_DES_HOT_INLINE bool peek_front(Time& t, std::uint64_t& seq) {
-    if (!ensure_front()) return false;
-    const Entry& e = wheel_[cur_][cur_pos_];
-    t = e.time;
-    seq = e.key >> kSlotBits;
-    return true;
-  }
-
   /// Pops and returns the earliest pending event.  Precondition: !empty().
   struct Fired {
     Time time;
@@ -159,6 +153,7 @@ class EventQueue {
     std::uint64_t heap_key = 0;  ///< key of the slot's live queue entry
     std::uint32_t gen = 0;    ///< bumped on release; part of the EventId
     std::uint32_t next_free = kNoFree;
+    std::uint32_t owner = 0;  ///< schedule_on tag; 0 = untagged
     bool live = false;
   };
 
@@ -200,10 +195,8 @@ class EventQueue {
   // and end-of-phase barriers (tens of us and up) ride the overflow
   // tier and re-spill as the window rotates.  kWheelSize = 256 buckets
   // cover a 262 us window — wide enough that steady-state traffic
-  // almost never touches overflow — and cost 6 KB of headers per
-  // queue, which matters because ShardedEventQueue instantiates one
-  // queue per node shard (the wheel itself is allocated on first use,
-  // so idle shards stay tiny).
+  // almost never touches overflow — and cost 6 KB of bucket headers
+  // (allocated on first use).
   static constexpr std::uint32_t kWheelBits = 8;
   static constexpr std::uint32_t kWheelSize = 1u << kWheelBits;
   static constexpr std::uint32_t kWheelMask = kWheelSize - 1;
@@ -262,9 +255,10 @@ class EventQueue {
   }
 
   /// Returns a slot to the free list (callback destroyed, generation
-  /// bumped so outstanding ids to it go stale).
+  /// bumped so outstanding ids to it go stale, owner count dropped).
   AMTLCE_DES_HOT_INLINE void release(std::uint32_t idx) {
     Slot& s = slots_[idx];
+    if (s.owner != 0) --owner_live_[s.owner];
     s.fn.reset();
     s.live = false;
     ++s.gen;  // outstanding ids to this slot are now stale
@@ -456,18 +450,11 @@ class EventQueue {
   std::uint32_t free_head_ = kNoFree;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
+  std::vector<std::size_t> owner_live_;  ///< pending events per tag >= 1
 };
 
 template <typename F>
-EventId EventQueue::schedule(Time t, F&& fn) {
-  // No overflow guard on the 40-bit seq: at simulator rates (~1e8
-  // events/sec) it would take >3 wall-clock hours to exhaust, orders of
-  // magnitude past any run here, and the check would tax every schedule.
-  return schedule_seq(t, next_seq_++, std::forward<F>(fn));
-}
-
-template <typename F>
-EventId EventQueue::schedule_seq(Time t, std::uint64_t seq, F&& fn) {
+EventId EventQueue::schedule_on(std::uint32_t owner, Time t, F&& fn) {
   std::uint32_t idx;
   if (free_head_ != kNoFree) {
     idx = free_head_;
@@ -477,10 +464,18 @@ EventId EventQueue::schedule_seq(Time t, std::uint64_t seq, F&& fn) {
     slots_.emplace_back();
     assert(idx <= kSlotMask && "slot index exceeds Entry packing");
   }
+  if (owner != 0) {
+    if (owner >= owner_live_.size()) owner_live_.resize(owner + 1);
+    ++owner_live_[owner];
+  }
   Slot& s = slots_[idx];
   s.fn = std::forward<F>(fn);  // constructed in place for raw callables
   s.time = t;
-  const std::uint64_t key = (seq << kSlotBits) | idx;
+  s.owner = owner;
+  // No overflow guard on the 40-bit seq: at simulator rates (~1e8
+  // events/sec) it would take >3 wall-clock hours to exhaust, orders of
+  // magnitude past any run here, and the check would tax every schedule.
+  const std::uint64_t key = (next_seq_++ << kSlotBits) | idx;
   s.heap_key = key;
   s.live = true;
   insert_entry(t, key);
@@ -500,11 +495,6 @@ inline bool EventQueue::cancel(EventId id) {
 }
 
 inline bool EventQueue::reschedule(EventId id, Time t) {
-  return reschedule_seq(id, t, next_seq_++);
-}
-
-inline bool EventQueue::reschedule_seq(EventId id, Time t,
-                                       std::uint64_t seq) {
   Slot* const s = live_slot(id);
   if (s == nullptr) return false;
   // The old entry is removed in place when cheap, else goes stale (key
@@ -512,7 +502,7 @@ inline bool EventQueue::reschedule_seq(EventId id, Time t,
   // position, exactly as cancel + schedule would.
   remove_or_tombstone(*s);
   s->time = t;
-  const std::uint64_t key = (seq << kSlotBits) | slot_of(id);
+  const std::uint64_t key = (next_seq_++ << kSlotBits) | slot_of(id);
   s->heap_key = key;
   insert_entry(t, key);
   maybe_compact();

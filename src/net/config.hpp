@@ -12,10 +12,12 @@ namespace net {
 /// One seeded fail-stop crash: `node` dies at `crash_at` and (optionally)
 /// rejoins at `restart_at`.  While down — the half-open window
 /// [crash_at, restart_at), or [crash_at, inf) when restart_at == 0 — the
-/// node's NIC drops all ingress and egress and its pending DES events are
-/// cancelled on its ShardedEventQueue shard.  Window semantics match the
-/// brownout/stall rules: a transfer transmitted inside the window is
-/// eaten pre-routing, an arrival inside the window is eaten post-routing.
+/// node's NIC drops all ingress and egress and its pending DES events (the
+/// ones tagged Fabric::owner_of(node)) are cancelled.  Window semantics
+/// match the brownout/stall rules: a transfer transmitted inside the
+/// window is eaten pre-routing, an arrival inside the window is eaten
+/// post-routing, and a frame still mid-ingress at the crash instant is
+/// counted as a crash drop when its delivery is cancelled.
 struct CrashEvent {
   int node = -1;
   des::Time crash_at = 0;

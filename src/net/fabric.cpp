@@ -134,9 +134,9 @@ Fabric::Fabric(des::Engine& engine, int num_nodes, FabricConfig config)
     }
   }
   // Fail-stop crash schedule: per-node windows for the hot-path drop
-  // tests, plus crash/restart control events.  Control events live on
-  // shard 0 so a node's own crash (which cancels its whole shard) can
-  // never cancel its restart.
+  // tests, plus crash/restart control events.  Control events are
+  // untagged so a node's own crash (which cancels every event tagged
+  // with the node) can never cancel its restart.
   crash_start_.resize(static_cast<std::size_t>(num_nodes), des::kTimeNever);
   crash_end_.resize(static_cast<std::size_t>(num_nodes), des::kTimeNever);
   crashed_.resize(static_cast<std::size_t>(num_nodes), false);
@@ -156,12 +156,29 @@ Fabric::Fabric(des::Engine& engine, int num_nodes, FabricConfig config)
 void Fabric::fire_crash(NodeId node) {
   ++fault_stats_.crashes;
   count_fault("net.fault.crashes");
-  const std::size_t n = eng_.cancel_shard(shard_of(node));
+  const std::size_t n = eng_.cancel_owner(owner_of(node));
   obs::FlightRecorder::global().record(node, obs::FlightKind::Crash,
                                        eng_.now(), 0, n);
   fault_stats_.crash_cancelled_events += n;
   if (rec_ != nullptr && n > 0) {
     rec_->counter("net.fault.crash_cancelled").add(n);
+  }
+  // Every slot still parked in the node's delivery pool belongs to a
+  // delivery event just cancelled: a frame whose ingress straddled the
+  // crash instant, which passed the send-time crash test.  It is a crash
+  // drop; its slot (and payload reference) goes back to the pool.
+  Nic& dead = nic(node);
+  std::vector<bool> is_free(dead.delivery_slots_.size(), false);
+  for (std::uint32_t s = dead.delivery_free_; s != Nic::kNoDelivery;
+       s = dead.delivery_next_free_[s]) {
+    is_free[s] = true;
+  }
+  for (std::uint32_t s = 0; s < is_free.size(); ++s) {
+    if (is_free[s]) continue;
+    count_crash_drop(dead.delivery_slots_[s].wire_bytes);
+    dead.delivery_slots_[s] = Message{};
+    dead.delivery_next_free_[s] = dead.delivery_free_;
+    dead.delivery_free_ = s;
   }
   crashed_[static_cast<std::size_t>(node)] = true;
   for (const CrashHandler& h : crash_handlers_) h(node, false);
@@ -236,6 +253,15 @@ void Nic::raw_send(Message m, SentHandler on_sent) {
   fabric_.do_send(*this, std::move(m), std::move(on_sent));
 }
 
+std::size_t Nic::pending_deliveries() const {
+  std::size_t free = 0;
+  for (std::uint32_t s = delivery_free_; s != kNoDelivery;
+       s = delivery_next_free_[s]) {
+    ++free;
+  }
+  return delivery_slots_.size() - free;
+}
+
 void Nic::dispatch(Message&& m) {
   ++stats_.msgs_received;
   stats_.bytes_received += m.wire_bytes;
@@ -265,8 +291,7 @@ void Fabric::set_recorder(obs::Recorder* rec) {
 
 std::uint32_t Fabric::acquire_delivery(Nic& dst, Message&& m) {
   // Per-destination pool: the slot lives with the node that will consume
-  // it, alongside that node's event-queue shard (see Nic for the SoA
-  // layout).
+  // it (see Nic for the SoA layout).
   std::uint32_t slot = dst.delivery_free_;
   if (slot != Nic::kNoDelivery) {
     dst.delivery_free_ = dst.delivery_next_free_[slot];
@@ -356,12 +381,12 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
       h_wire_transit_->add(static_cast<double>(done - now));
     }
     if (on_sent) {
-      eng_.schedule_on(shard_of(m.src), sent, std::move(on_sent));
+      eng_.schedule_on(owner_of(m.src), sent, std::move(on_sent));
     }
-    const auto dst_shard = shard_of(m.dst);
+    const auto dst_owner = owner_of(m.dst);
     Nic* const dstp = &dst;
     const std::uint32_t slot = acquire_delivery(dst, std::move(m));
-    eng_.schedule_on(dst_shard, done, [this, dstp, slot]() {
+    eng_.schedule_on(dst_owner, done, [this, dstp, slot]() {
       deliver_and_release(*dstp, slot);
     });
     return;
@@ -396,7 +421,7 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
   src.egress_free_ = egress_end;
 
   if (on_sent) {
-    eng_.schedule_on(shard_of(m.src), egress_end, std::move(on_sent));
+    eng_.schedule_on(owner_of(m.src), egress_end, std::move(on_sent));
   }
 
   // Source-side brownout is judged against the modeled wire-occupancy
@@ -548,10 +573,10 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
     sink->span(track, label, ingress_start, ingress_end - ingress_start);
   }
 
-  const auto dst_shard = shard_of(m.dst);
+  const auto dst_owner = owner_of(m.dst);
   Nic* const dstp = &dst;
   const std::uint32_t slot = acquire_delivery(dst, std::move(m));
-  eng_.schedule_on(dst_shard, ingress_end, [this, dstp, slot]() {
+  eng_.schedule_on(dst_owner, ingress_end, [this, dstp, slot]() {
     deliver_and_release(*dstp, slot);
   });
 
@@ -577,7 +602,7 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
       sink->span(track, label, ingress_end, dup_end - ingress_end);
     }
     const std::uint32_t dslot = acquire_delivery(dst, std::move(*dup));
-    eng_.schedule_on(dst_shard, dup_end, [this, dstp, dslot]() {
+    eng_.schedule_on(dst_owner, dup_end, [this, dstp, dslot]() {
       deliver_and_release(*dstp, dslot);
     });
   }

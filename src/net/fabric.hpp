@@ -110,6 +110,10 @@ class Nic {
   /// Earliest time a new egress could start (for tests / introspection).
   des::Time egress_free_at() const { return egress_free_; }
 
+  /// Frames parked in this node's delivery pool: scheduled for delivery,
+  /// not yet dispatched.  Zero once the engine drains.
+  std::size_t pending_deliveries() const;
+
  private:
   friend class Fabric;
   Nic(Fabric& fabric, NodeId node) : fabric_(fabric), node_(node) {}
@@ -198,7 +202,7 @@ class Fabric {
   }
 
   /// Registers a callback fired when a node's fail-stop state changes:
-  /// fn(node, false) at crash time (after the node's shard events were
+  /// fn(node, false) at crash time (after the node's pending events were
   /// cancelled), fn(node, true) at restart.  Handlers are invoked in
   /// registration order and are never removed — register for the
   /// fabric's lifetime.
@@ -235,10 +239,11 @@ class Fabric {
   void check_node(const char* what, NodeId n) const;
 
  public:
-  /// DES shard carrying a node's events (deliveries, completions,
-  /// per-node protocol timers).  Shard 0 is reserved for non-node work
-  /// (global timers, protocol clocks).
-  static std::uint32_t shard_of(NodeId node) {
+  /// DES owner tag of a node's events (deliveries, completions, per-node
+  /// protocol timers): the crash of `node` cancels exactly these, and the
+  /// des.qdepth probe counts them.  Tag 0 stays for non-node work (global
+  /// timers, protocol clocks, crash/restart control events).
+  static std::uint32_t owner_of(NodeId node) {
     return static_cast<std::uint32_t>(node) + 1;
   }
 

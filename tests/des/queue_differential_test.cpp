@@ -74,24 +74,12 @@ class Differ {
     ASSERT_EQ(a, b) << "reschedule liveness diverged for tag " << m.tag;
   }
 
-  void reschedule_seq(std::size_t idx, Time t, std::uint64_t seq) {
-    const Mirrored m = live_[idx];
-    const bool a = hybrid_.reschedule_seq(m.hybrid, t, seq);
-    const bool b = heapslab_.reschedule_seq(m.heapslab, t, seq);
-    ASSERT_EQ(a, b) << "reschedule_seq liveness diverged for tag " << m.tag;
-  }
-
   // Pops one event from each queue and asserts identical (time, tag).
   void pop_one() {
     ASSERT_EQ(hybrid_.empty(), heapslab_.empty());
     if (hybrid_.empty()) return;
-    Time ta, tb;
-    std::uint64_t sa, sb;
-    ASSERT_TRUE(hybrid_.peek_front(ta, sa));
-    ASSERT_TRUE(heapslab_.peek_front(tb, sb));
-    ASSERT_EQ(ta, tb) << "front time diverged";
-    ASSERT_EQ(sa, sb) << "front seq diverged";
-    ASSERT_EQ(hybrid_.next_time(), heapslab_.next_time());
+    ASSERT_EQ(hybrid_.next_time(), heapslab_.next_time())
+        << "front time diverged";
     auto fa = hybrid_.pop();
     auto fb = heapslab_.pop();
     ASSERT_EQ(fa.time, fb.time);
@@ -162,12 +150,6 @@ TEST(QueueDifferential, RandomizedOpMixMatchesReference) {
                          ? now - 2048 + static_cast<Time>(rng.below(4096))
                          : now + delta;
       d.reschedule(rng.below(d.tracked()), t);
-    } else if (d.tracked() > 0) {
-      // Explicit-seq reschedule, the crash-recovery replay path: a
-      // far-future seq must not disturb relative order of later pops.
-      const Time delta = kDeltas[rng.below(std::size(kDeltas))];
-      d.reschedule_seq(rng.below(d.tracked()), now + delta,
-                       (1u << 30) + static_cast<std::uint64_t>(op));
     }
     if ((op & 1023) == 0) d.check_sizes();
     now += static_cast<Time>(rng.below(512));

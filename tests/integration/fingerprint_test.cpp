@@ -3,7 +3,7 @@
 // Each row pins the EXACT time-to-solution, message count, byte count,
 // and critical-path finish of a small model-mode TLR-Cholesky run under
 // the default two-level fabric preset.  These values were captured from
-// the pre-topology build; the sharded event queue, per-node delivery
+// the pre-topology build; the owner-tagged event queue, per-node delivery
 // slabs, and fat-tree plumbing must all reproduce them to the last bit
 // — any drift here means a published figure silently changed.
 //

@@ -1,6 +1,7 @@
 // Deterministic fault injection in the fabric: config validation, byte
 // conservation, per-link FIFO under duplication/drops/jitter, seeded
-// reproducibility, corruption discipline, brownouts, and NIC stalls.
+// reproducibility, corruption discipline, brownouts, NIC stalls, and
+// crash accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -445,6 +446,31 @@ TEST(FaultInjection, BrownoutWindowBoundariesAreHalfOpen) {
   eng.run();
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(fab.fault_stats().brownout_drops, 0u);
+}
+
+TEST(FaultInjection, CrashMidIngressCountsTheCancelledFrame) {
+  // Two 100000 B frames converge on node 1, so the second one's ingress
+  // queues behind the first: its last byte is available at ~11 us
+  // (before the 15 us crash, so the send-time test lets it through) but
+  // its ingress ends at ~21 us, after the crash cancelled node 1's
+  // pending events.  The cancelled frame must be counted as a crash drop
+  // and its delivery slot returned.
+  Engine eng;
+  FabricConfig cfg = simple_config();
+  cfg.faults.crashes.push_back(net::CrashEvent{1, 15 * des::kMicrosecond, 0});
+  Fabric fab(eng, 3, cfg);
+  int delivered = 0;
+  fab.nic(1).set_deliver_handler([&](Message&&) { ++delivered; });
+  fab.nic(0).send(msg(0, 1, 100000));
+  fab.nic(2).send(msg(2, 1, 100000));
+  eng.run();
+  const net::FaultStats& fs = fab.fault_stats();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(fs.crash_drops, 1u);
+  EXPECT_EQ(fab.total_messages(),
+            static_cast<std::uint64_t>(delivered) + fs.drops);
+  EXPECT_EQ(fs.dropped_bytes, 100000u);
+  EXPECT_EQ(fab.nic(1).pending_deliveries(), 0u);
 }
 
 TEST(FaultInjection, LoopbackIsNeverFaulted) {
