@@ -1,18 +1,16 @@
 // Core-runtime perf-regression harness (not a paper figure).
 //
-// Measures the DES hot path and guards it against regressions.  Three
-// queue generations run the identical workload side by side:
+// Measures the DES hot path and guards it against regressions.  Two
+// queue implementations run the identical workload side by side:
 //
 //   hybrid   — des::EventQueue, the calendar/timing-wheel hybrid;
-//   heapslab — des::HeapSlabQueue, the PR-4 4-ary-heap slot slab the
-//              hybrid replaced (preserved verbatim);
 //   legacy   — the pre-overhaul implementation (unordered_map callback
 //              store, std::function), preserved in perf_core_baseline.*.
 //
 //   * schedule_pop     — steady-state schedule+pop throughput.  Also
 //                        counts heap allocations per event in steady
-//                        state — hybrid and heapslab must stay at
-//                        exactly zero (warm-up runs long enough that
+//                        state — the hybrid must stay at exactly zero
+//                        (warm-up runs long enough that
 //                        every internal vector reaches its steady-state
 //                        capacity BEFORE measurement starts; the old
 //                        one-ring-lap warm-up missed a capacity
@@ -29,7 +27,7 @@
 //                        end-to-end sanity that micro-wins survive the
 //                        full stack.
 //
-// Emits BENCH_core.json, schema_version 2 (see --out).  --smoke shrinks
+// Emits BENCH_core.json, schema_version 3 (see --out).  --smoke shrinks
 // iteration counts for CI; timing numbers from smoke runs are schema
 // fodder, not data.
 #include <algorithm>
@@ -48,7 +46,6 @@
 
 #include "des/engine.hpp"
 #include "des/event_queue.hpp"
-#include "des/heap_slab_queue.hpp"
 #include "des/inplace_callback.hpp"
 #include "hicma/driver.hpp"
 #include "net/fabric.hpp"
@@ -411,63 +408,53 @@ int main(int argc, char** argv) {
   // the queue legs under ~3 s total.
   const std::size_t ops = 1'000'000;
   const std::size_t fab_msgs = smoke ? 20'000 : 200'000;
-  // Best-of-N over INTERLEAVED hybrid/heapslab/legacy reps: wall-clock
-  // on a shared machine is noisy, the fastest rep is the closest
-  // estimate of the code's intrinsic cost, and alternating the queues
-  // rep-by-rep keeps a load spike from taxing only one side of a ratio.
+  // Best-of-N over INTERLEAVED hybrid/legacy reps: wall-clock on a shared
+  // machine is noisy, the fastest rep is the closest estimate of the
+  // code's intrinsic cost, and alternating the queues rep-by-rep keeps a
+  // load spike from taxing only one side of the ratio.
   const int reps = smoke ? 9 : 15;
 
   std::printf("perf_core (%s mode)\n", smoke ? "smoke" : "full");
 
-  struct ThreeWay {
-    QueueBenchResult hybrid, heapslab, legacy;
+  struct TwoWay {
+    QueueBenchResult hybrid, legacy;
   };
-  const auto best_of3 = [reps](auto&& measure_a, auto&& measure_b,
-                               auto&& measure_c) {
-    ThreeWay best{measure_a(), measure_b(), measure_c()};
+  const auto best_of2 = [reps](auto&& measure_hybrid, auto&& measure_legacy) {
+    TwoWay best{measure_hybrid(), measure_legacy()};
     for (int r = 1; r < reps; ++r) {
-      const QueueBenchResult a = measure_a();
-      const QueueBenchResult b = measure_b();
-      const QueueBenchResult c = measure_c();
+      const QueueBenchResult a = measure_hybrid();
+      const QueueBenchResult b = measure_legacy();
       if (a.events_per_sec > best.hybrid.events_per_sec) best.hybrid = a;
-      if (b.events_per_sec > best.heapslab.events_per_sec) best.heapslab = b;
-      if (c.events_per_sec > best.legacy.events_per_sec) best.legacy = c;
+      if (b.events_per_sec > best.legacy.events_per_sec) best.legacy = b;
     }
     return best;
   };
 
-  const ThreeWay sp = best_of3(
+  const TwoWay sp = best_of2(
       [&] {
         return bench_schedule_pop<des::EventQueue, PooledDeliveryShape>(ring,
                                                                         ops);
-      },
-      [&] {
-        return bench_schedule_pop<des::HeapSlabQueue, PooledDeliveryShape>(
-            ring, ops);
       },
       [&] {
         return bench_schedule_pop<baseline::EventQueue, LegacyDeliveryShape>(
             ring, ops);
       });
   std::printf(
-      "schedule_pop   : hybrid %.3g ev/s (%.3g allocs/ev), heapslab %.3g "
-      "ev/s, legacy %.3g ev/s, speedup %.2fx vs legacy, %.2fx vs heapslab\n",
+      "schedule_pop   : hybrid %.3g ev/s (%.3g allocs/ev), legacy %.3g "
+      "ev/s, speedup %.2fx vs legacy\n",
       sp.hybrid.events_per_sec, sp.hybrid.allocs_per_event,
-      sp.heapslab.events_per_sec, sp.legacy.events_per_sec,
-      sp.hybrid.events_per_sec / sp.legacy.events_per_sec,
-      sp.hybrid.events_per_sec / sp.heapslab.events_per_sec);
+      sp.legacy.events_per_sec,
+      sp.hybrid.events_per_sec / sp.legacy.events_per_sec);
 
-  const ThreeWay ch = best_of3(
+  const TwoWay ch = best_of2(
       [&] { return bench_cancel_heavy<des::EventQueue>(ring, ops); },
-      [&] { return bench_cancel_heavy<des::HeapSlabQueue>(ring, ops); },
       [&] { return bench_cancel_heavy<baseline::EventQueue>(ring, ops); });
   std::printf(
-      "cancel_heavy   : hybrid %.3g op/s (%.3g allocs/op), heapslab %.3g "
-      "op/s, legacy %.3g op/s, speedup %.2fx vs legacy, %.2fx vs heapslab\n",
+      "cancel_heavy   : hybrid %.3g op/s (%.3g allocs/op), legacy %.3g "
+      "op/s, speedup %.2fx vs legacy\n",
       ch.hybrid.events_per_sec, ch.hybrid.allocs_per_event,
-      ch.heapslab.events_per_sec, ch.legacy.events_per_sec,
-      ch.hybrid.events_per_sec / ch.legacy.events_per_sec,
-      ch.hybrid.events_per_sec / ch.heapslab.events_per_sec);
+      ch.legacy.events_per_sec,
+      ch.hybrid.events_per_sec / ch.legacy.events_per_sec);
 
   const auto fabr = bench_fabric_throughput(fab_msgs);
   std::printf("fabric         : %.3g msg/s wall (%.3g allocs/msg)\n",
@@ -523,31 +510,23 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"perf_core\",\n");
-  std::fprintf(f, "  \"schema_version\": 2,\n");
+  std::fprintf(f, "  \"schema_version\": 3,\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f, "  \"schedule_pop\": {\n");
   json_field(f, "ops", static_cast<double>(ops));
   json_field(f, "ring", static_cast<double>(ring));
   json_field(f, "events_per_sec", sp.hybrid.events_per_sec);
-  json_field(f, "heapslab_events_per_sec", sp.heapslab.events_per_sec);
   json_field(f, "legacy_events_per_sec", sp.legacy.events_per_sec);
   json_field(f, "speedup", sp.hybrid.events_per_sec / sp.legacy.events_per_sec);
-  json_field(f, "speedup_vs_heapslab",
-             sp.hybrid.events_per_sec / sp.heapslab.events_per_sec);
   json_field(f, "steady_state_allocs_per_event", sp.hybrid.allocs_per_event);
-  json_field(f, "heapslab_allocs_per_event", sp.heapslab.allocs_per_event);
   json_field(f, "legacy_allocs_per_event", sp.legacy.allocs_per_event, true);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"cancel_heavy\": {\n");
   json_field(f, "ops", static_cast<double>(2 * ops));
   json_field(f, "events_per_sec", ch.hybrid.events_per_sec);
-  json_field(f, "heapslab_events_per_sec", ch.heapslab.events_per_sec);
   json_field(f, "legacy_events_per_sec", ch.legacy.events_per_sec);
   json_field(f, "speedup", ch.hybrid.events_per_sec / ch.legacy.events_per_sec);
-  json_field(f, "speedup_vs_heapslab",
-             ch.hybrid.events_per_sec / ch.heapslab.events_per_sec);
   json_field(f, "steady_state_allocs_per_event", ch.hybrid.allocs_per_event);
-  json_field(f, "heapslab_allocs_per_event", ch.heapslab.allocs_per_event);
   json_field(f, "legacy_allocs_per_event", ch.legacy.allocs_per_event, true);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"fabric_throughput\": {\n");

@@ -255,6 +255,8 @@ struct NodeStats {
   std::uint64_t stale_activations = 0;     ///< duplicate/stale records dropped
   std::uint64_t fetches_abandoned = 0;     ///< pending fetches on a dead peer
   std::uint64_t reannounces = 0;           ///< flows re-served from the cache
+  std::uint64_t malformed_msgs = 0;        ///< control messages that failed
+                                           ///< to decode, dropped unread
   LatencyStats latency;
   /// Phase breakdown of the end-to-end path: activate-processed -> GET
   /// DATA sent (fetch_wait), and GET DATA sent -> data arrival (transfer).

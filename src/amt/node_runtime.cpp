@@ -406,7 +406,8 @@ bool NodeRuntime::flush_activations() {
 void NodeRuntime::on_activate(const void* msg, std::size_t size, int src) {
   (void)src;
   auto records = wire::unpack_activate(msg, size);
-  for (auto& rec : records) {
+  if (!records) return drop_malformed();
+  for (auto& rec : *records) {
     // One sub-span per aggregated record: this is the per-record work that
     // makes the ACTIVATE callback block progress on the MPI backend (§4.3).
     std::optional<des::ChargeSpan> span;
@@ -522,7 +523,9 @@ bool NodeRuntime::issue_fetches() {
 }
 
 void NodeRuntime::on_getdata(const void* msg, std::size_t size, int src) {
-  const auto g = wire::unpack_pod<wire::GetDataMsg>(msg, size);
+  const auto decoded = wire::unpack_pod<wire::GetDataMsg>(msg, size);
+  if (!decoded) return drop_malformed();
+  const wire::GetDataMsg& g = *decoded;
   // The GET DATA wire stage ends when the handler reaches this request;
   // handling cost and the put transfer belong to the transfer stage.
   const des::Time reached_ts = fabric_.local_clock(rank_);
@@ -588,7 +591,9 @@ void NodeRuntime::on_getdata(const void* msg, std::size_t size, int src) {
 void NodeRuntime::on_data_arrived(const void* msg, std::size_t size,
                                   int src) {
   (void)src;
-  const auto d = wire::unpack_pod<wire::DataArrivedMsg>(msg, size);
+  const auto decoded = wire::unpack_pod<wire::DataArrivedMsg>(msg, size);
+  if (!decoded) return drop_malformed();
+  const wire::DataArrivedMsg& d = *decoded;
   const des::Time end_l = fabric_.local_clock(rank_);
   const des::Time rel0 = charged_local_now();
   des::emit_flow(eng_, "data", d.trace.span_id, /*begin=*/false);

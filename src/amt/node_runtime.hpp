@@ -193,6 +193,8 @@ class NodeRuntime {
   void record_stages(const wire::ActivationRecord& rec, des::Time reached_g,
                      des::Time activated_g, des::Time requested_g,
                      des::Time put_g, des::Time end_g);
+  /// A control message that failed to decode is dropped unread.
+  void drop_malformed() { ++stats_.malformed_msgs; }
 
   des::Engine& eng_;
   net::Fabric& fabric_;

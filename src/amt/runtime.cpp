@@ -267,6 +267,7 @@ NodeStats Runtime::aggregate_stats() const {
     total.stale_activations += s.stale_activations;
     total.fetches_abandoned += s.fetches_abandoned;
     total.reannounces += s.reannounces;
+    total.malformed_msgs += s.malformed_msgs;
     total.latency.merge(s.latency);
     total.fetch_wait.merge(s.fetch_wait);
     total.transfer.merge(s.transfer);

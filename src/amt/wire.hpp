@@ -6,11 +6,18 @@
 // forwarding to once the data lands.  GET DATA carries the requester's
 // receive registration; the put's remote-completion callback data carries
 // the flow identity back.
+//
+// Decoders treat the bytes as untrusted: every count and length read from
+// the wire is checked against the bytes that remain before it is used,
+// and a message that does not decode exactly is rejected (std::nullopt)
+// for the caller to drop and count.
 #pragma once
 
-#include <cassert>
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "ce/comm_engine.hpp"
@@ -62,15 +69,6 @@ void append(std::vector<std::byte>& buf, const T& v) {
   std::memcpy(buf.data() + off, &v, sizeof v);
 }
 
-template <typename T>
-T read(const std::byte*& p) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v;
-  std::memcpy(&v, p, sizeof v);
-  p += sizeof v;
-  return v;
-}
-
 }  // namespace detail
 
 inline std::size_t record_wire_size(const ActivationRecord& r) {
@@ -105,32 +103,40 @@ inline std::vector<std::byte> pack_activate(
   return buf;
 }
 
-inline std::vector<ActivationRecord> unpack_activate(const void* msg,
-                                                     std::size_t size) {
+/// Decodes a pack_activate message; std::nullopt when it is truncated,
+/// a count or length overruns the bytes present, or bytes are left over.
+inline std::optional<std::vector<ActivationRecord>> unpack_activate(
+    const void* msg, std::size_t size) {
   const auto* p = static_cast<const std::byte*>(msg);
-  const std::byte* const end = p + size;
-  const auto count = detail::read<std::uint16_t>(p);
+  std::size_t left = size;
+  const auto read = [&](auto& v) {  // checks the bytes remain first
+    if (left < sizeof v) return false;
+    std::memcpy(&v, p, sizeof v);
+    p += sizeof v;
+    left -= sizeof v;
+    return true;
+  };
+  std::uint16_t count = 0;
+  if (!read(count)) return std::nullopt;
+  // A corrupt count must not size the allocation: each record takes at
+  // least its fixed part on the wire.
   std::vector<ActivationRecord> out;
-  out.reserve(count);
+  out.reserve(std::min<std::size_t>(
+      count, left / record_wire_size(ActivationRecord{})));
   for (std::uint16_t c = 0; c < count; ++c) {
     ActivationRecord r;
-    r.flow = detail::read<FlowKey>(p);
-    r.size = detail::read<std::uint64_t>(p);
-    r.src_rank = detail::read<std::int32_t>(p);
-    r.priority = detail::read<double>(p);
-    r.root_ts = detail::read<des::Time>(p);
-    r.enqueue_ts = detail::read<des::Time>(p);
-    r.send_ts = detail::read<des::Time>(p);
-    r.real = detail::read<std::uint8_t>(p);
-    r.trace = detail::read<TraceCtx>(p);
-    r.path = detail::read<PathSums>(p);
-    const auto n = detail::read<std::uint16_t>(p);
+    std::uint16_t n = 0;
+    if (!read(r.flow) || !read(r.size) || !read(r.src_rank) ||
+        !read(r.priority) || !read(r.root_ts) || !read(r.enqueue_ts) ||
+        !read(r.send_ts) || !read(r.real) || !read(r.trace) ||
+        !read(r.path) || !read(n) || left < n * sizeof(std::int32_t)) {
+      return std::nullopt;
+    }
     r.subtree.resize(n);
-    for (auto& rank : r.subtree) rank = detail::read<std::int32_t>(p);
+    for (auto& rank : r.subtree) read(rank);
     out.push_back(std::move(r));
   }
-  assert(p <= end);
-  (void)end;
+  if (left != 0) return std::nullopt;
   return out;
 }
 
@@ -148,17 +154,12 @@ struct DataArrivedMsg {
   TraceCtx trace;           ///< causal identity of the data leg
 };
 
+/// Decodes a fixed-size message (GET DATA, DATA ARRIVED); std::nullopt
+/// unless `size` is exactly sizeof(T).
 template <typename T>
-std::vector<std::byte> pack_pod(const T& v) {
-  std::vector<std::byte> buf;
-  detail::append(buf, v);
-  return buf;
-}
-
-template <typename T>
-T unpack_pod(const void* msg, std::size_t size) {
-  assert(size >= sizeof(T));
-  (void)size;
+std::optional<T> unpack_pod(const void* msg, std::size_t size) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  if (size != sizeof(T)) return std::nullopt;
   T v;
   std::memcpy(&v, msg, sizeof v);
   return v;

@@ -32,8 +32,13 @@ LciBackend::LciBackend(mlci::Device& device, des::Engine& engine,
     // future work).  The immediate data is a PutHandshake header plus
     // the remote-callback bytes.
     assert(req.payload != nullptr);
-    const auto v =
+    const auto parsed =
         HandshakeView::parse(req.payload->data(), req.payload->size());
+    if (!parsed) {
+      ++stats_.malformed_msgs;
+      return;
+    }
+    const HandshakeView& v = *parsed;
     DataHandle done;
     done.kind = DataHandle::Kind::RemoteDone;
     done.r_tag = v.hdr.r_tag;
@@ -316,8 +321,13 @@ void LciBackend::on_am_arrival(mlci::Request&& req) {
 
 void LciBackend::handle_handshake(mlci::Request&& req) {
   assert(req.payload != nullptr && "handshake must carry a body");
-  const auto v = HandshakeView::parse(req.payload->data(),
-                                      req.payload->size());
+  const auto parsed = HandshakeView::parse(req.payload->data(),
+                                           req.payload->size());
+  if (!parsed) {
+    ++stats_.malformed_msgs;
+    return;
+  }
+  const HandshakeView& v = *parsed;
   DataHandle done;
   done.kind = DataHandle::Kind::RemoteDone;
   done.r_tag = v.hdr.r_tag;

@@ -12,8 +12,6 @@
 namespace ce {
 namespace {
 
-/// Internal AM tag carrying put handshakes.
-constexpr Tag kHandshakeTag = 0xFFFF'FFFF'FFFF'0001ULL;
 /// Data-transfer tags live in their own range; unique per origin.
 constexpr Tag kDataTagBase = 0x8000'0000'0000'0000ULL;
 
@@ -137,7 +135,12 @@ void MpiBackend::start_data_send(Entry&& e) {
 
 void MpiBackend::handle_handshake(const void* msg, std::size_t size,
                                   int src) {
-  const auto v = HandshakeView::parse(msg, size);
+  const auto parsed = HandshakeView::parse(msg, size);
+  if (!parsed) {
+    ++stats_.malformed_msgs;
+    return;
+  }
+  const HandshakeView& v = *parsed;
   Entry e;
   e.kind = Entry::Kind::DataRecv;
   e.r_tag = v.hdr.r_tag;

@@ -31,6 +31,9 @@ namespace ce {
 
 class MpiBackend final : public CommEngine {
  public:
+  /// AM tag the constructor registers for put handshakes.
+  static constexpr Tag kHandshakeTag = 0xFFFF'FFFF'FFFF'0001ULL;
+
   MpiBackend(mmpi::Rank& rank, CeConfig cfg = {});
   ~MpiBackend() override;
 

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "ce/comm_engine.hpp"
@@ -64,13 +65,24 @@ struct HandshakeView {
   const std::byte* r_cb_data = nullptr;
   const std::byte* eager_data = nullptr;
 
-  static HandshakeView parse(const void* msg, std::size_t size) {
+  /// std::nullopt unless `size` is exactly the header plus hdr.r_cb_size
+  /// callback bytes plus, with kHandshakeEagerData, hdr.size payload
+  /// bytes: both lengths come off the wire and are checked before any
+  /// pointer into the message is formed.
+  static std::optional<HandshakeView> parse(const void* msg,
+                                            std::size_t size) {
     HandshakeView v;
-    assert(size >= sizeof(PutHandshake));
+    if (size < sizeof(PutHandshake)) return std::nullopt;
     std::memcpy(&v.hdr, msg, sizeof v.hdr);
+    const std::size_t body = size - sizeof(PutHandshake);
+    const bool eager = (v.hdr.flags & kHandshakeEagerData) != 0;
+    if (v.hdr.r_cb_size > body ||
+        body - v.hdr.r_cb_size != (eager ? v.hdr.size : 0)) {
+      return std::nullopt;
+    }
     const auto* bytes = static_cast<const std::byte*>(msg);
     v.r_cb_data = v.hdr.r_cb_size > 0 ? bytes + sizeof(PutHandshake) : nullptr;
-    if ((v.hdr.flags & kHandshakeEagerData) != 0) {
+    if (eager) {
       v.eager_data = bytes + sizeof(PutHandshake) + v.hdr.r_cb_size;
     }
     return v;

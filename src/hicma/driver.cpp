@@ -104,6 +104,7 @@ ExperimentResult run_tlr_cholesky(const ExperimentConfig& cfg) {
     res.ce_stats.eager_puts += s.eager_puts;
     res.ce_stats.peer_failed_sends += s.peer_failed_sends;
     res.ce_stats.peer_failed_recvs += s.peer_failed_recvs;
+    res.ce_stats.malformed_msgs += s.malformed_msgs;
   }
   res.fabric_messages = fabric.total_messages();
   res.fabric_bytes = fabric.total_bytes();

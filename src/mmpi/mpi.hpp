@@ -4,8 +4,9 @@
 // two-sided nonblocking sends/receives, persistent requests
 // (MPI_Recv_init / MPI_Start), MPI_Testsome over a request array, wildcard
 // MPI_ANY_SOURCE, blocking eager MPI_Send, tag matching with posted- and
-// unexpected-message queues, an eager/rendezvous protocol switch, and the
-// mpi_assert_allow_overtaking info key.
+// unexpected-message queues, and an eager/rendezvous protocol switch.
+// Matching is FIFO per (source, tag), which is also a valid behaviour
+// under mpi_assert_allow_overtaking.
 //
 // Progress semantics mirror real MPI: the library only progresses inside
 // MPI calls.  Arriving fabric messages queue in a per-rank hardware queue;
@@ -43,11 +44,6 @@ inline constexpr RequestId kNullRequest = 0;
 struct Config {
   /// Messages at or below this size use the eager protocol.
   std::size_t eager_threshold = 8192;
-
-  /// mpi_assert_allow_overtaking: PaRSEC sets this because it never relies
-  /// on MPI message ordering.  Recorded and queryable; matching in this
-  /// implementation is FIFO either way (a valid behaviour for both modes).
-  bool allow_overtaking = false;
 
   // --- software overhead model (charged to the calling sim thread) ---
   des::Duration call_overhead = 1500;        ///< fixed cost of any MPI call
@@ -230,9 +226,6 @@ class Mpi {
   const Config& config() const { return cfg_; }
   int size() const { return static_cast<int>(ranks_.size()); }
   Rank& rank(int r) { return *ranks_.at(static_cast<std::size_t>(r)); }
-
-  /// Sets the allow_overtaking info key (recorded; see Config).
-  void set_allow_overtaking(bool v) { cfg_.allow_overtaking = v; }
 
  private:
   friend class Rank;

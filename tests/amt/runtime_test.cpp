@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "amt/wire.hpp"
 #include "ce/world.hpp"
 #include "des/engine.hpp"
 #include "net/fabric.hpp"
@@ -72,6 +75,32 @@ TEST_P(RtBackends, WavefrontComputesCorrectCorner) {
   rt.run();
   EXPECT_EQ(rt.total_tasks_executed(), 64u);
   EXPECT_EQ(graph.corner(), graph.expected_corner());
+}
+
+TEST_P(RtBackends, MalformedControlMessagesAreDroppedAndCounted) {
+  RtWorld w(2, GetParam());
+  ChainGraph graph(21, 2);
+  Runtime rt(w.eng, w.fab, w.comm, graph);
+  // An ACTIVATE cut inside its first record and GET DATA / DATA ARRIVED
+  // bodies one byte short, sent from inside the run (the runtime
+  // registers its tags on start).
+  const std::vector<std::byte> body(
+      2 + amt::wire::record_wire_size({}) - 1, std::byte{1});
+  std::vector<ce::Status> sent;
+  w.eng.schedule_at(1, [&] {
+    for (const auto& [tag, len] :
+         {std::pair{amt::wire::kTagActivate, body.size()},
+          std::pair{amt::wire::kTagGetData, sizeof(amt::wire::GetDataMsg) - 1},
+          std::pair{amt::wire::kTagDataArrived,
+                    sizeof(amt::wire::DataArrivedMsg) - 1}}) {
+      sent.push_back(w.comm.engine(0).send_am(tag, 1, body.data(), len));
+    }
+  });
+  rt.run();
+  EXPECT_EQ(sent, std::vector<ce::Status>(3, ce::Status::Ok));
+  EXPECT_EQ(rt.aggregate_stats().malformed_msgs, 3u);
+  EXPECT_EQ(rt.total_tasks_executed(), 21u);  // the graph is unaffected
+  EXPECT_EQ(graph.final_value(), 20);
 }
 
 TEST_P(RtBackends, MtActivateProducesSameResult) {

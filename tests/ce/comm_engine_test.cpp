@@ -13,6 +13,7 @@
 
 #include "ce/lci_backend.hpp"
 #include "ce/mpi_backend.hpp"
+#include "ce/put_protocol.hpp"
 #include "ce/world.hpp"
 #include "des/engine.hpp"
 #include "des/poll_loop.hpp"
@@ -361,6 +362,20 @@ TEST(CeMpiBackend, DynamicRecvsPromotedInFifoOrder) {
 }
 
 // --- LCI-backend-specific mechanisms ---------------------------------------
+
+TEST(CeMpiBackend, MalformedHandshakeIsDroppedAndCounted) {
+  CeWorld w(2, BackendKind::Mpi);
+  // A header that claims 64 callback bytes, followed by none of them.
+  ce::PutHandshake h;
+  h.size = 128;
+  h.r_cb_size = 64;
+  EXPECT_EQ(w.engine(0).send_am(ce::MpiBackend::kHandshakeTag, 1, &h,
+                                sizeof h),
+            ce::Status::Ok);
+  w.run();
+  EXPECT_EQ(w.engine(1).stats().malformed_msgs, 1u);
+  EXPECT_TRUE(w.engine(1).idle());  // no receive was posted for it
+}
 
 TEST(CeLciBackend, EagerPutRidesHandshake) {
   CeConfig cfg;

@@ -6,11 +6,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <utility>
+#include <iterator>
 #include <vector>
 
 #include "des/rng.hpp"
+#include "reference_queue.hpp"
 
 namespace {
 
@@ -245,86 +245,43 @@ TEST(EventQueue, PopTriggeredCompactionBoundsHeap) {
 
 TEST(EventQueue, FuzzAgainstReferenceModel) {
   // Random schedule/cancel/reschedule/pop/cancel_owner interleavings,
-  // checked against a multimap-based reference queue.  The reference
-  // keys on (time, seq) so FIFO tie-breaks are part of the contract being
-  // checked; every event carries a random owner tag (0 = untagged), and
-  // the per-owner pending counts are checked after every operation.
+  // checked against the multimap reference model, which keys on
+  // (time, seq) so FIFO tie-breaks are part of the contract being checked.
+  // Every event carries a random owner tag (0 = untagged), and the
+  // per-owner pending counts are checked after every operation.  Half the
+  // deltas are short (< 1000 ns, current and next buckets); the other half
+  // come from kDeltas, so owner tags also live in the far-future stage and
+  // overflow tiers when cancel_owner walks the slab.
   des::Rng rng(0xFEEDFACE);
-  EventQueue q;
+  des_test::ReferenceQueue d;
   constexpr std::uint32_t kOwners = 5;
-  struct Ref {
-    des::EventId id;
-    int tag;
-    std::uint32_t owner;
-  };
-  std::multimap<std::pair<des::Time, std::uint64_t>, Ref> model;
-  std::uint64_t next_seq = 0;
-  std::vector<int> fired_q, fired_model;
-  int next_tag = 0;
-  des::Time now = 0;
-  auto check_owner_sizes = [&] {
-    std::array<std::size_t, kOwners> want{};
-    for (const auto& [key, ref] : model) ++want[ref.owner];
-    for (std::uint32_t o = 1; o < kOwners; ++o) {
-      ASSERT_EQ(q.owner_size(o), want[o]) << "owner " << o;
-    }
+  auto at = [&] {
+    return d.last_popped() +
+           ((rng() & 1) != 0 ? static_cast<des::Time>(rng() % 1000)
+                             : des_test::kDeltas[rng.below(
+                                   std::size(des_test::kDeltas))]);
   };
   for (int step = 0; step < 20000; ++step) {
     const double roll = rng.uniform();
     if (roll < 0.45) {
-      const des::Time t = now + static_cast<des::Time>(rng() % 1000);
-      const int tag = next_tag++;
-      const auto owner = static_cast<std::uint32_t>(rng() % kOwners);
-      auto id = q.schedule_on(owner, t,
-                              [&fired_q, tag] { fired_q.push_back(tag); });
-      model.emplace(std::make_pair(t, next_seq++), Ref{id, tag, owner});
-    } else if (roll < 0.60 && !model.empty()) {
-      auto it = model.begin();
-      std::advance(it, static_cast<long>(rng() % model.size()));
-      ASSERT_TRUE(q.cancel(it->second.id));
-      model.erase(it);
-    } else if (roll < 0.70 && !model.empty()) {
-      auto it = model.begin();
-      std::advance(it, static_cast<long>(rng() % model.size()));
-      const des::Time t = now + static_cast<des::Time>(rng() % 1000);
-      ASSERT_TRUE(q.reschedule(it->second.id, t));
-      Ref ref = it->second;
-      model.erase(it);
-      model.emplace(std::make_pair(t, next_seq++), ref);
+      const des::Time t = at();
+      d.schedule(t, static_cast<std::uint32_t>(rng() % kOwners));
+    } else if (roll < 0.60 && !d.empty()) {
+      d.cancel_pending(rng() % d.size());
+    } else if (roll < 0.70 && !d.empty()) {
+      const std::size_t victim = rng() % d.size();
+      d.reschedule_pending(victim, at());
     } else if (roll < 0.705) {
       // Rare: a whole owner dies (fail-stop crash).
-      const auto owner =
-          static_cast<std::uint32_t>(1 + rng() % (kOwners - 1));
-      const std::size_t n = std::erase_if(
-          model, [owner](const auto& kv) { return kv.second.owner == owner; });
-      ASSERT_EQ(q.cancel_owner(owner), n);
-    } else if (!model.empty()) {
-      ASSERT_FALSE(q.empty());
-      auto expect = model.begin();
-      ASSERT_EQ(q.next_time(), expect->first.first);
-      auto fired = q.pop();
-      now = fired.time;
-      EXPECT_EQ(fired.id, expect->second.id);
-      fired.fn();
-      fired_model.push_back(expect->second.tag);
-      model.erase(expect);
-      ASSERT_EQ(fired_q.size(), fired_model.size());
-      ASSERT_EQ(fired_q.back(), fired_model.back());
+      d.cancel_owner(static_cast<std::uint32_t>(1 + rng() % (kOwners - 1)));
+    } else {
+      d.pop_one();
     }
-    ASSERT_EQ(q.size(), model.size());
-    check_owner_sizes();
+    d.check_sizes(kOwners);
+    if (HasFatalFailure()) return;  // a mismatch cascades
   }
-  while (!q.empty()) {
-    auto expect = model.begin();
-    auto fired = q.pop();
-    EXPECT_EQ(fired.id, expect->second.id);
-    fired.fn();
-    fired_model.push_back(expect->second.tag);
-    model.erase(expect);
-  }
-  EXPECT_TRUE(model.empty());
-  EXPECT_EQ(fired_q, fired_model);
-  check_owner_sizes();
+  d.drain();
+  d.check_sizes(kOwners);
 }
 
 TEST(EventQueue, CallbackWithLargeCaptureSurvivesSlab) {
@@ -403,68 +360,39 @@ TEST(EventQueue, OwnerCountsFollowEveryOperation) {
 // global (time, seq) order of the survivors, and the owner must accept
 // fresh events afterwards (lineage recovery reuses the node's tag).
 TEST(EventQueue, CancelOwnerMidRunWithBothTiersPopulated) {
-  EventQueue q;
+  des_test::ReferenceQueue d;
+  EventQueue& q = d.queue();
   // kWheelSpan is 262144 ns; times below 200k land in the wheel, the
   // +10ms/+80ms groups start in the overflow tier.
   constexpr des::Time kFar1 = 10'000'000;
   constexpr des::Time kFar2 = 80'000'000;
-  struct Expect {
-    des::Time time;
-    std::uint64_t idx;  // global schedule order == FIFO seq order
-    int tag;
-  };
-  std::vector<int> fired;
-  std::vector<Expect> pending;  // mirror of every still-live event
-  std::uint64_t idx = 0;
-  auto sched = [&](std::uint32_t owner, des::Time t, int tag) {
-    q.schedule_on(owner, t, [&fired, tag] { fired.push_back(tag); });
-    pending.push_back({t, idx++, tag});
-  };
   const std::uint32_t victim = 2;
   for (std::uint32_t o = 0; o < 4; ++o) {
-    for (int i = 0; i < 32; ++i) {
-      const int tag = static_cast<int>(o) * 1000 + i;
-      sched(o, static_cast<des::Time>(i) * 5000, tag);                // wheel
-      sched(o, kFar1 + static_cast<des::Time>(i) * 3000, tag + 100);  // far
-      sched(o, kFar2 + static_cast<des::Time>(i) * 7000, tag + 200);  // far
+    for (des::Time i = 0; i < 32; ++i) {
+      d.schedule(i * 5000, o);          // wheel
+      d.schedule(kFar1 + i * 3000, o);  // far
+      d.schedule(kFar2 + i * 7000, o);  // far
     }
   }
   // Hot phase: pop a third of the population, so the wheel cursor is
   // mid-flight and part of the overflow has spilled.
-  const std::size_t total = pending.size();
-  for (std::size_t i = 0; i < total / 3; ++i) q.pop().fn();
-  std::erase_if(pending, [&](const Expect& e) {
-    return std::find(fired.begin(), fired.end(), e.tag) != fired.end();
-  });
+  for (std::size_t i = 0, n = q.size() / 3; i < n; ++i) d.pop_one();
 
   const std::size_t victim_live = q.owner_size(victim);
   EXPECT_GT(victim_live, 0u);
-  EXPECT_EQ(q.cancel_owner(victim), victim_live);
+  d.cancel_owner(victim);
   EXPECT_EQ(q.owner_size(victim), 0u);
-  std::erase_if(pending, [&](const Expect& e) {
-    return static_cast<std::uint32_t>(e.tag / 1000) == victim;
-  });
-  EXPECT_EQ(q.size(), pending.size());
+  d.check_sizes(4);
 
   // Recovery path: the crashed owner keeps working for re-executed
   // lineage — schedule near-tier AND far-tier events on it post-crash.
-  sched(victim, kFar1, 9001);
-  sched(victim, kFar2 + 1, 9002);
-  const des::Time resume = q.next_time();
-  sched(victim, resume, 9000);  // ties with the current front; FIFO-last
+  d.schedule(kFar1, victim);
+  d.schedule(kFar2 + 1, victim);
+  d.schedule(q.next_time(), victim);  // ties with the current front
 
-  const std::size_t fired_before_drain = fired.size();
-  while (!q.empty()) q.pop().fn();
-
-  // Survivors must have fired in exact (time, seq) order.
-  std::sort(pending.begin(), pending.end(),
-            [](const Expect& a, const Expect& b) {
-              return a.time != b.time ? a.time < b.time : a.idx < b.idx;
-            });
-  ASSERT_EQ(fired.size(), fired_before_drain + pending.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    EXPECT_EQ(fired[fired_before_drain + i], pending[i].tag) << "at " << i;
-  }
+  // Survivors fire in exact (time, seq) order.
+  d.drain();
+  d.check_sizes(4);
 }
 
 // ShardedQueue: owner tags replaced the per-node shards of the event
@@ -504,70 +432,30 @@ TEST(ShardedQueue, CrossShardFifoTieBreak) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-// The equivalence oracle: an untagged EventQueue fed the identical
-// schedule/cancel/reschedule/pop sequence as one whose events carry
-// random owner tags.  Payloads are unique ints so order mismatches
-// cannot cancel out.
+// The equivalence oracle: events carrying random owner tags must pop in
+// the untagged (time, seq) order of the reference model, under the same
+// schedule/cancel/reschedule/pop mix an untagged queue is fuzzed with.
 TEST(ShardedQueue, FuzzExactEquivalenceWithMonolithicQueue) {
   for (std::uint64_t seed : {1ull, 42ull, 20260808ull}) {
     des::Rng rng(seed);
     constexpr std::uint32_t kOwners = 9;  // deliberately not a power of 2
-    EventQueue tagged;
-    EventQueue mono;
-    std::vector<std::pair<des::EventId, des::EventId>> live;
-    std::vector<int> fired_tagged, fired_mono;
-    int payload = 0;
-    des::Time max_popped = 0;
-
+    des_test::ReferenceQueue d;
     for (int op = 0; op < 20000; ++op) {
       const std::uint64_t dice = rng() % 100;
-      if (dice < 55 || live.empty()) {
-        const des::Time t = max_popped + static_cast<des::Time>(rng() % 64);
-        const auto owner = static_cast<std::uint32_t>(rng() % kOwners);
-        const int p = payload++;
-        auto tid = tagged.schedule_on(owner, t, [&, p] {
-          fired_tagged.push_back(p);
-        });
-        auto mid = mono.schedule(t, [&, p] { fired_mono.push_back(p); });
-        live.emplace_back(tid, mid);
+      const des::Time t = d.last_popped() + static_cast<des::Time>(rng() % 64);
+      if (dice < 55 || d.handles() == 0) {
+        d.schedule(t, static_cast<std::uint32_t>(rng() % kOwners));
       } else if (dice < 70) {
-        const std::size_t pick = rng() % live.size();
-        const bool a = tagged.cancel(live[pick].first);
-        const bool b = mono.cancel(live[pick].second);
-        ASSERT_EQ(a, b);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        d.cancel(rng() % d.handles());
       } else if (dice < 80) {
-        const std::size_t pick = rng() % live.size();
-        const des::Time t = max_popped + static_cast<des::Time>(rng() % 64);
-        const bool a = tagged.reschedule(live[pick].first, t);
-        const bool b = mono.reschedule(live[pick].second, t);
-        ASSERT_EQ(a, b);
+        d.reschedule(rng() % d.handles(), t);
       } else {
-        ASSERT_EQ(tagged.empty(), mono.empty());
-        if (!tagged.empty()) {
-          ASSERT_EQ(tagged.next_time(), mono.next_time());
-          auto ft = tagged.pop();
-          auto fm = mono.pop();
-          ASSERT_EQ(ft.time, fm.time);
-          max_popped = ft.time;
-          ft.fn();
-          fm.fn();
-          ASSERT_EQ(fired_tagged.back(), fired_mono.back());
-        }
+        d.pop_one();
       }
-      ASSERT_EQ(tagged.size(), mono.size());
+      d.check_sizes((op & 255) == 0 ? kOwners : 0);  // owner counts: O(n)
+      if (HasFatalFailure()) return;
     }
-    // Drain both and require the full residual order to match.
-    while (!mono.empty()) {
-      ASSERT_FALSE(tagged.empty());
-      auto ft = tagged.pop();
-      auto fm = mono.pop();
-      ASSERT_EQ(ft.time, fm.time);
-      ft.fn();
-      fm.fn();
-    }
-    EXPECT_TRUE(tagged.empty());
-    EXPECT_EQ(fired_tagged, fired_mono);
+    d.drain();
   }
 }
 
