@@ -22,12 +22,17 @@
 //                        engine + NIC pipes, wall-clock messages/sec and
 //                        steady-state allocations per message (payload
 //                        pool + delivery slots + inline callbacks).
+//   * mpi_progress     — closed-loop AM and put ping-pong between two
+//                        nodes through ce::MpiBackend + mmpi + net + des:
+//                        steady-state heap allocations per AM and per put
+//                        (deterministic counts, pinned by the smoke
+//                        guard) and fabric messages per wall second.
 //   * fig4_reduced     — wall-clock of a reduced fig-4 cell (4 nodes,
 //                        N=36,000, nb=3,000, Model mode, LCI backend):
 //                        end-to-end sanity that micro-wins survive the
 //                        full stack.
 //
-// Emits BENCH_core.json, schema_version 3 (see --out).  --smoke shrinks
+// Emits BENCH_core.json, schema_version 4 (see --out).  --smoke shrinks
 // iteration counts for CI; timing numbers from smoke runs are schema
 // fodder, not data.
 #include <algorithm>
@@ -44,9 +49,12 @@
 
 #include <type_traits>
 
+#include "ce/world.hpp"
 #include "des/engine.hpp"
 #include "des/event_queue.hpp"
 #include "des/inplace_callback.hpp"
+#include "des/poll_loop.hpp"
+#include "des/sim_thread.hpp"
 #include "hicma/driver.hpp"
 #include "net/fabric.hpp"
 #include "obs/flight_recorder.hpp"
@@ -283,6 +291,72 @@ FabricBenchResult bench_fabric_throughput(std::size_t msgs) {
 }
 
 // ---------------------------------------------------------------------------
+// MPI progress path: two nodes, each with a comm thread polling
+// MpiBackend::progress(), play ping-pong.  AM mode bounces a 64-byte
+// active message; put mode bounces a 4 KiB put whose remote-completion
+// callback issues the reply put, the GET DATA shape of the runtime.  A
+// warm-up phase lets every pool, slab and scratch vector reach its
+// steady-state size; the measured phase then counts operator new calls.
+
+struct MpiProgressResult {
+  std::uint64_t allocs = 0;  ///< over the measured phase
+  double msgs_per_sec = 0;
+};
+
+MpiProgressResult bench_mpi_progress(bool puts, std::size_t ops) {
+  constexpr ce::Tag kPing = 1;
+  constexpr std::size_t kPutBytes = 4096;
+  des::Engine eng;
+  net::Fabric fab(eng, 2);
+  ce::CommWorld world(fab, ce::BackendKind::Mpi);
+  std::size_t remaining = 0;
+  const auto bounce = [&](ce::CommEngine& ce, int to) {
+    if (remaining == 0) return;
+    --remaining;
+    if (!puts) {
+      ce.send_am(kPing, to, "ping", 4);
+      return;
+    }
+    const ce::MemReg l{ce.rank(), nullptr, kPutBytes};
+    const ce::MemReg r{to, nullptr, kPutBytes};
+    ce.put(l, 0, r, 0, kPutBytes, to, nullptr, nullptr, kPing, "ping", 4);
+  };
+  std::vector<std::unique_ptr<des::SimThread>> threads;
+  std::vector<std::unique_ptr<des::PollLoop>> loops;
+  for (int n = 0; n < 2; ++n) {
+    ce::CommEngine& ce = world.engine(n);
+    ce.tag_reg(
+        kPing,
+        [&bounce](ce::CommEngine& e, ce::Tag, const void*, std::size_t,
+                  int src, void*) { bounce(e, src); },
+        nullptr, 64);
+    threads.push_back(std::make_unique<des::SimThread>(eng, "comm"));
+    loops.push_back(std::make_unique<des::PollLoop>(
+        *threads.back(), 25, [&ce]() { return ce.progress() > 0; }));
+    ce.set_wake_callback([loop = loops.back().get()]() { loop->wake(); });
+    loops.back()->start();
+  }
+  const auto phase = [&](std::size_t n) {
+    remaining = n;
+    bounce(world.engine(0), 1);
+    eng.run();
+  };
+  phase(std::max<std::size_t>(ops / 4, 4096));  // warm-up
+  const std::uint64_t msgs0 = fab.total_messages();
+  const std::uint64_t a0 = allocs_now();
+  const auto t0 = Clock::now();
+  phase(ops);
+  const double elapsed = seconds_since(t0);
+  const std::uint64_t a1 = allocs_now();
+  for (auto& l : loops) l->stop();
+  MpiProgressResult r;
+  r.allocs = a1 - a0;
+  r.msgs_per_sec =
+      static_cast<double>(fab.total_messages() - msgs0) / elapsed;
+  return r;
+}
+
+// ---------------------------------------------------------------------------
 // Timeline-sampler and flight-recorder overhead (the observability PR's
 // perf guards): the sampler hook is one compare per engine step, the
 // recorder a branch + 32-byte store per fabric send.  Both are measured
@@ -460,6 +534,28 @@ int main(int argc, char** argv) {
   std::printf("fabric         : %.3g msg/s wall (%.3g allocs/msg)\n",
               fabr.msgs_per_sec, fabr.allocs_per_msg);
 
+  // Allocation counts are deterministic, so smoke and full mode run the
+  // same op counts and the smoke guard compares like with like; only the
+  // best-of throughput takes more reps in full mode.
+  const std::size_t mpi_ops = 20'000;
+  MpiProgressResult mpi_am, mpi_put;
+  for (int r = 0; r < (smoke ? 1 : 5); ++r) {
+    const MpiProgressResult am = bench_mpi_progress(false, mpi_ops);
+    const MpiProgressResult put = bench_mpi_progress(true, mpi_ops);
+    mpi_am.allocs = am.allocs;
+    mpi_put.allocs = put.allocs;
+    mpi_am.msgs_per_sec = std::max(mpi_am.msgs_per_sec, am.msgs_per_sec);
+    mpi_put.msgs_per_sec = std::max(mpi_put.msgs_per_sec, put.msgs_per_sec);
+  }
+  const auto per_op = [mpi_ops](std::uint64_t n) {
+    return static_cast<double>(n) / static_cast<double>(mpi_ops);
+  };
+  std::printf(
+      "mpi_progress   : AM %.3g msg/s (%.3g allocs/AM), put %.3g msg/s "
+      "(%.3g allocs/put)\n",
+      mpi_am.msgs_per_sec, per_op(mpi_am.allocs), mpi_put.msgs_per_sec,
+      per_op(mpi_put.allocs));
+
   // A real end-to-end run first: its wall-clock and flight-record count
   // are the denominator of the recorder-overhead guard below.
   const auto fig4 = bench_fig4_reduced();
@@ -510,7 +606,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"perf_core\",\n");
-  std::fprintf(f, "  \"schema_version\": 3,\n");
+  std::fprintf(f, "  \"schema_version\": 4,\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f, "  \"schedule_pop\": {\n");
   json_field(f, "ops", static_cast<double>(ops));
@@ -534,6 +630,15 @@ int main(int argc, char** argv) {
   json_field(f, "msgs_per_sec", fabr.msgs_per_sec);
   json_field(f, "allocs_per_msg", fabr.allocs_per_msg);
   json_field(f, "sim_seconds", fabr.sim_seconds, true);
+  std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"mpi_progress\": {\n");
+  json_field(f, "ops", static_cast<double>(mpi_ops));
+  json_field(f, "am_allocs", static_cast<double>(mpi_am.allocs));
+  json_field(f, "put_allocs", static_cast<double>(mpi_put.allocs));
+  json_field(f, "allocs_per_am", per_op(mpi_am.allocs));
+  json_field(f, "allocs_per_put", per_op(mpi_put.allocs));
+  json_field(f, "am_msgs_per_sec", mpi_am.msgs_per_sec);
+  json_field(f, "put_msgs_per_sec", mpi_put.msgs_per_sec, true);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"timeline\": {\n");
   json_field(f, "ops", static_cast<double>(tl_ops));

@@ -1,12 +1,15 @@
 # ctest script behind the "perf"-labeled perf_core_smoke test: runs the
 # perf_core harness in smoke mode and validates the emitted
-# BENCH_core.json against the schema (v3) EXPERIMENTS.md documents.
+# BENCH_core.json against the schema (v4) EXPERIMENTS.md documents.
 # Absolute smoke-mode timing numbers are not checked against thresholds —
 # wall-clock on a loaded CI machine is noise — but the hybrid/legacy
 # SPEEDUP RATIO is machine-portable (numerator and denominator run
 # interleaved under the same load), so it is guarded against the
 # committed BENCH_core.json: a ratio more than 10% below the committed
-# full-mode ratio fails the test.  Invoked as:
+# full-mode ratio fails the test.  The mpi_progress section's steady-state
+# heap allocations over its AM and put phases are deterministic counts
+# (smoke and full mode run the same ops), so they are pinned exactly:
+# either one above its committed value fails the test.  Invoked as:
 #   cmake -DPERF_CORE=<binary> -DOUT_JSON=<path> \
 #         [-DBASELINE_JSON=<committed BENCH_core.json>] -P perf_smoke.cmake
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
@@ -32,7 +35,7 @@ if(err OR NOT bench STREQUAL "perf_core")
   message(FATAL_ERROR "BENCH_core.json: bad 'bench' field: ${bench} ${err}")
 endif()
 string(JSON schema ERROR_VARIABLE err GET "${doc}" schema_version)
-if(err OR NOT schema EQUAL 3)
+if(err OR NOT schema EQUAL 4)
   message(FATAL_ERROR "BENCH_core.json: bad 'schema_version': ${schema} ${err}")
 endif()
 string(JSON mode ERROR_VARIABLE err GET "${doc}" mode)
@@ -69,6 +72,13 @@ endforeach()
 check_positive(fabric_throughput msgs_per_sec)
 check_number(fabric_throughput allocs_per_msg)
 check_positive(fabric_throughput sim_seconds)
+check_positive(mpi_progress ops)
+check_number(mpi_progress am_allocs)
+check_number(mpi_progress put_allocs)
+check_number(mpi_progress allocs_per_am)
+check_number(mpi_progress allocs_per_put)
+check_positive(mpi_progress am_msgs_per_sec)
+check_positive(mpi_progress put_msgs_per_sec)
 check_positive(fig4_reduced wall_s)
 check_positive(fig4_reduced tts_s)
 check_positive(fig4_reduced messages)
@@ -128,6 +138,29 @@ if(DEFINED BASELINE_JSON AND EXISTS "${BASELINE_JSON}")
     endif()
   endforeach()
   message(STATUS "perf_core speedups within 10% of committed baseline")
+
+  # Host-cost counters of the MPI progress path: steady-state heap
+  # allocations over `ops` AMs and `ops` puts.  Exact counts, not timings —
+  # any rise above the committed value is a new allocation on that path.
+  string(JSON want_ops GET "${base}" mpi_progress ops)
+  string(JSON got_ops GET "${doc}" mpi_progress ops)
+  if(NOT got_ops EQUAL want_ops)
+    message(FATAL_ERROR "mpi_progress.ops ${got_ops} != committed ${want_ops}")
+  endif()
+  foreach(field am_allocs put_allocs)
+    string(JSON want ERROR_VARIABLE err GET "${base}" mpi_progress ${field})
+    if(err)
+      message(FATAL_ERROR
+        "baseline ${BASELINE_JSON} missing mpi_progress.${field}: ${err}")
+    endif()
+    string(JSON got GET "${doc}" mpi_progress ${field})
+    if(got GREATER want)
+      message(FATAL_ERROR
+        "MPI progress path allocates more: mpi_progress.${field} = ${got} "
+        "> committed ${want} (${BASELINE_JSON})")
+    endif()
+  endforeach()
+  message(STATUS "mpi_progress allocations within committed counts")
 endif()
 
 message(STATUS "perf_core smoke OK: ${OUT_JSON}")

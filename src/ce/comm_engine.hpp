@@ -172,8 +172,8 @@ struct CeStats {
   std::uint64_t eager_puts = 0;        ///< LCI: puts carried in handshakes
   std::uint64_t peer_failed_sends = 0; ///< sends released by peer_failed()
   std::uint64_t peer_failed_recvs = 0; ///< recvs dropped by peer_failed()
-  std::uint64_t malformed_msgs = 0;    ///< handshakes that failed to parse,
-                                       ///< dropped unread
+  std::uint64_t malformed_msgs = 0;    ///< frames that failed to decode,
+                                       ///< dropped unread (per backend)
 };
 
 /// Per-node communication engine (Listing 1).

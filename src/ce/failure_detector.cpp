@@ -178,9 +178,7 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
     m.hdr.proto = net::kProtoFd;
     domain_.fabric_.nic(node_).raw_send(std::move(m));
     ++domain_.stats_.heartbeats_sent;
-    if (domain_.rec_ != nullptr) {
-      domain_.rec_->counter("ce.fd.heartbeats").add();
-    }
+    if (domain_.c_heartbeats_ != nullptr) domain_.c_heartbeats_->add();
   }
 
   FailureDetectorDomain& domain_;
@@ -231,7 +229,10 @@ void FailureDetectorDomain::stop() {
   for (auto& d : nodes_) d->cancel_timer();
 }
 
-void FailureDetectorDomain::set_recorder(obs::Recorder* rec) { rec_ = rec; }
+void FailureDetectorDomain::set_recorder(obs::Recorder* rec) {
+  rec_ = rec;
+  c_heartbeats_ = rec ? &rec->counter("ce.fd.heartbeats") : nullptr;
+}
 
 void FailureDetectorDomain::track_view(int peer, PeerState from,
                                        PeerState to) {

@@ -124,6 +124,7 @@ class FailureDetectorDomain {
   FdStats stats_;
   bool stopped_ = false;
   obs::Recorder* rec_ = nullptr;
+  obs::Counter* c_heartbeats_ = nullptr;  ///< ce.fd.heartbeats
   std::vector<StateCallback> subscribers_;
   std::vector<std::unique_ptr<NodeDetector>> nodes_;
   std::vector<std::uint32_t> suspect_views_of_;  ///< observers seeing Suspect

@@ -93,6 +93,14 @@ LciBackend::~LciBackend() {
 
 int LciBackend::size() const { return dev_.num_ranks(); }
 
+void LciBackend::set_recorder(obs::Recorder* rec) {
+  rec_ = rec;
+  h_put_local_ = rec ? &rec->histogram("ce.put_local_ns") : nullptr;
+  h_put_remote_ = rec ? &rec->histogram("ce.put_remote_ns") : nullptr;
+  h_am_queue_ = rec ? &rec->histogram("ce.am_queue_ns") : nullptr;
+  h_data_queue_ = rec ? &rec->histogram("ce.data_queue_ns") : nullptr;
+}
+
 void LciBackend::set_wake_callback(std::function<void()> fn) {
   wake_ = std::move(fn);
 }
@@ -223,11 +231,10 @@ int LciBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
     }
     ++stats_.eager_puts;
     ++stats_.puts_completed_local;
-    if (rec_ != nullptr) {
+    if (h_put_local_ != nullptr) {
       // Eager local completion is immediate; the histogram still records
       // it so put_local distributions reflect the eager fraction.
-      rec_->histogram("ce.put_local_ns")
-          .add(static_cast<double>(eng_.now() - put_start));
+      h_put_local_->add(static_cast<double>(eng_.now() - put_start));
     }
     if (l_cb) {
       l_cb(*this, lreg, ldispl, rreg, rdispl, size, remote, l_cb_data);
@@ -386,15 +393,13 @@ bool LciBackend::post_data_recv(const PendingRecv& pr) {
 
 void LciBackend::dispatch_data_handle(DataHandle&& h) {
   des::charge_current(cfg_.dispatch_cost);
-  if (rec_ != nullptr) {
-    rec_->histogram("ce.data_queue_ns")
-        .add(static_cast<double>(eng_.now() - h.queued));
+  if (h_data_queue_ != nullptr) {
+    h_data_queue_->add(static_cast<double>(eng_.now() - h.queued));
   }
   if (h.kind == DataHandle::Kind::LocalDone) {
     ++stats_.puts_completed_local;
-    if (rec_ != nullptr) {
-      rec_->histogram("ce.put_local_ns")
-          .add(static_cast<double>(eng_.now() - h.started));
+    if (h_put_local_ != nullptr) {
+      h_put_local_->add(static_cast<double>(eng_.now() - h.started));
     }
     if (h.l_cb) {
       std::optional<des::ChargeSpan> span;
@@ -404,9 +409,8 @@ void LciBackend::dispatch_data_handle(DataHandle&& h) {
     }
   } else {
     ++stats_.puts_completed_remote;
-    if (rec_ != nullptr) {
-      rec_->histogram("ce.put_remote_ns")
-          .add(static_cast<double>(eng_.now() - h.started));
+    if (h_put_remote_ != nullptr) {
+      h_put_remote_->add(static_cast<double>(eng_.now() - h.started));
     }
     const auto it = tags_.find(h.r_tag);
     assert(it != tags_.end() && "put r_tag not registered");
@@ -503,9 +507,8 @@ int LciBackend::progress() {
       const auto it = tags_.find(h.tag);
       assert(it != tags_.end() && "AM for unregistered tag");
       ++stats_.ams_delivered;
-      if (rec_ != nullptr) {
-        rec_->histogram("ce.am_queue_ns")
-            .add(static_cast<double>(eng_.now() - h.arrived));
+      if (h_am_queue_ != nullptr) {
+        h_am_queue_->add(static_cast<double>(eng_.now() - h.arrived));
       }
       const void* body = h.payload ? h.payload->data() : nullptr;
       std::optional<des::ChargeSpan> span;

@@ -63,7 +63,7 @@ class LciBackend final : public CommEngine {
   bool idle() const override;
   void set_wake_callback(std::function<void()> fn) override;
   const CeStats& stats() const override { return stats_; }
-  void set_recorder(obs::Recorder* rec) override { rec_ = rec; }
+  void set_recorder(obs::Recorder* rec) override;
 
   /// The progress thread (null when disabled) — exposed so experiments can
   /// read its utilization.
@@ -178,6 +178,10 @@ class LciBackend final : public CommEngine {
   std::uint64_t outstanding_direct_ = 0;  ///< sends with pending local done
   std::function<void()> wake_;
   obs::Recorder* rec_ = nullptr;
+  obs::Histogram* h_put_local_ = nullptr;
+  obs::Histogram* h_put_remote_ = nullptr;
+  obs::Histogram* h_am_queue_ = nullptr;
+  obs::Histogram* h_data_queue_ = nullptr;
 };
 
 }  // namespace ce

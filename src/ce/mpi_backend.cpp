@@ -34,6 +34,17 @@ MpiBackend::MpiBackend(mmpi::Rank& rank, CeConfig cfg)
 
 MpiBackend::~MpiBackend() { rank_.set_event_notifier(nullptr); }
 
+const CeStats& MpiBackend::stats() const {
+  stats_.malformed_msgs = malformed_handshakes_ + rank_.malformed_frames();
+  return stats_;
+}
+
+void MpiBackend::set_recorder(obs::Recorder* rec) {
+  rec_ = rec;
+  h_put_local_ = rec ? &rec->histogram("ce.put_local_ns") : nullptr;
+  h_put_remote_ = rec ? &rec->histogram("ce.put_remote_ns") : nullptr;
+}
+
 void MpiBackend::set_wake_callback(std::function<void()> fn) {
   wake_ = std::move(fn);
   rank_.set_event_notifier(wake_);
@@ -72,14 +83,6 @@ Status MpiBackend::send_am(Tag tag, int remote, const void* msg,
   return Status::Ok;
 }
 
-int MpiBackend::data_entries_active() const {
-  int n = 0;
-  for (const Entry& e : entries_) {
-    if (e.kind != Entry::Kind::AmRecv) ++n;
-  }
-  return n;
-}
-
 int MpiBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
                     const MemReg& rreg, std::ptrdiff_t rdispl,
                     std::size_t size, int remote, OnesidedCallback l_cb,
@@ -96,8 +99,9 @@ int MpiBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
   h.r_tag = r_tag;
   h.data_tag = data_tag;
   h.r_cb_size = static_cast<std::uint32_t>(r_cb_data_size);
-  const auto buf = pack_handshake(h, r_cb_data, nullptr, 0);
-  rank_.send(buf.data(), buf.size(), remote, kHandshakeTag);
+  pack_handshake_into(handshake_buf_, h, r_cb_data, nullptr, 0);
+  rank_.send(handshake_buf_.data(), handshake_buf_.size(), remote,
+             kHandshakeTag);
   des::emit_flow(rank_.engine(), "put", put_flow_id(rank(), data_tag),
                  /*begin=*/true);
 
@@ -114,7 +118,7 @@ int MpiBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
   e.data_tag = data_tag;
   e.started = rank_.engine().now();
 
-  if (data_entries_active() < cfg_.max_concurrent_transfers) {
+  if (data_active_ < cfg_.max_concurrent_transfers) {
     start_data_send(std::move(e));
   } else {
     // No space in the global array: defer posting the send (§4.2.2).
@@ -130,22 +134,30 @@ void MpiBackend::start_data_send(Entry&& e) {
     src = static_cast<const std::byte*>(e.lreg.base) + e.ldispl;
   }
   e.req = rank_.isend(src, e.size, e.remote, e.data_tag);
+  push_data_entry(std::move(e));
+}
+
+void MpiBackend::push_data_entry(Entry&& e) {
   entries_.push_back(std::move(e));
+  ++data_active_;
 }
 
 void MpiBackend::handle_handshake(const void* msg, std::size_t size,
                                   int src) {
   const auto parsed = HandshakeView::parse(msg, size);
   if (!parsed) {
-    ++stats_.malformed_msgs;
+    ++malformed_handshakes_;
     return;
   }
   const HandshakeView& v = *parsed;
   Entry e;
   e.kind = Entry::Kind::DataRecv;
   e.r_tag = v.hdr.r_tag;
-  if (v.hdr.r_cb_size > 0) {
-    e.r_cb_data.assign(v.r_cb_data, v.r_cb_data + v.hdr.r_cb_size);
+  e.r_cb_size = v.hdr.r_cb_size;
+  if (e.r_cb_size > kInlineCbBytes) {
+    e.r_cb_spill.assign(v.r_cb_data, v.r_cb_data + e.r_cb_size);
+  } else if (e.r_cb_size > 0) {
+    std::memcpy(e.r_cb_inline.data(), v.r_cb_data, e.r_cb_size);
   }
   e.origin = src;
   e.size = static_cast<std::size_t>(v.hdr.size);
@@ -158,8 +170,8 @@ void MpiBackend::handle_handshake(const void* msg, std::size_t size,
   // The receive is posted either way; without array space the request is
   // "dynamically allocated" and not polled until promoted (§4.2.2).
   e.req = rank_.irecv(dst, e.size, src, v.hdr.data_tag);
-  if (data_entries_active() < cfg_.max_concurrent_transfers) {
-    entries_.push_back(std::move(e));
+  if (data_active_ < cfg_.max_concurrent_transfers) {
+    push_data_entry(std::move(e));
   } else {
     ++stats_.recvs_dynamic;
     pending_.push_back(Pending{Pending::What::PromoteRecv, std::move(e)});
@@ -168,13 +180,13 @@ void MpiBackend::handle_handshake(const void* msg, std::size_t size,
 
 void MpiBackend::drain_pending() {
   while (!pending_.empty() &&
-         data_entries_active() < cfg_.max_concurrent_transfers) {
+         data_active_ < cfg_.max_concurrent_transfers) {
     Pending p = std::move(pending_.front());
     pending_.pop_front();
     if (p.what == Pending::What::StartSend) {
       start_data_send(std::move(p.entry));
     } else {
-      entries_.push_back(std::move(p.entry));  // request already posted
+      push_data_entry(std::move(p.entry));  // request already posted
     }
   }
 }
@@ -201,16 +213,18 @@ int MpiBackend::progress() {
   // repeat until a pass completes nothing.
   for (;;) {
     des::charge_current(cfg_.loop_cost);
-    std::vector<mmpi::RequestId> ids;
-    ids.reserve(entries_.size());
-    for (const Entry& e : entries_) ids.push_back(e.req);
-    const auto res = rank_.testsome(ids);
-    if (res.indices.empty()) break;
+    ids_.clear();
+    for (const Entry& e : entries_) ids_.push_back(e.req);
+    rank_.testsome(ids_, done_);
+    if (done_.indices.empty()) break;
 
-    std::vector<bool> done(entries_.size(), false);
-    for (std::size_t k = 0; k < res.indices.size(); ++k) {
-      const std::size_t idx = res.indices[k];
-      const mmpi::MpiStatus& st = res.statuses[k];
+    // A completed transfer's request is freed by mmpi; its entry keeps
+    // the now-null id as the "leaves at compaction" mark.  AmRecv
+    // requests are persistent and keep theirs.
+    std::size_t finished = 0;
+    for (std::size_t k = 0; k < done_.indices.size(); ++k) {
+      const std::size_t idx = done_.indices[k];
+      const mmpi::MpiStatus& st = done_.statuses[k];
       // Callbacks may append entries (reentrant put/send_am): access by
       // index, never hold references across a callback.
       switch (entries_[idx].kind) {
@@ -222,10 +236,12 @@ int MpiBackend::progress() {
         case Entry::Kind::DataSend: {
           des::charge_current(cfg_.dispatch_cost);
           Entry& e = entries_[idx];
+          e.req = mmpi::kNullRequest;
+          ++finished;
           ++stats_.puts_completed_local;
-          if (rec_ != nullptr) {
-            rec_->histogram("ce.put_local_ns")
-                .add(static_cast<double>(rank_.engine().now() - e.started));
+          if (h_put_local_ != nullptr) {
+            h_put_local_->add(
+                static_cast<double>(rank_.engine().now() - e.started));
           }
           if (e.l_cb) {
             std::optional<des::ChargeSpan> span;
@@ -235,21 +251,27 @@ int MpiBackend::progress() {
             e.l_cb(*this, e.lreg, e.ldispl, e.rreg, e.rdispl, e.size,
                    e.remote, e.l_cb_data);
           }
-          done[idx] = true;
           break;
         }
         case Entry::Kind::DataRecv: {
           des::charge_current(cfg_.dispatch_cost);
           ++stats_.puts_completed_remote;
+          entries_[idx].req = mmpi::kNullRequest;
+          ++finished;
           // Remote completion: invoke the AM callback registered for
           // r_tag with the callback data from the handshake.
           const Entry& e = entries_[idx];
-          if (rec_ != nullptr) {
-            rec_->histogram("ce.put_remote_ns")
-                .add(static_cast<double>(rank_.engine().now() - e.started));
+          if (h_put_remote_ != nullptr) {
+            h_put_remote_->add(
+                static_cast<double>(rank_.engine().now() - e.started));
           }
           const auto it = tags_.find(e.r_tag);
-          assert(it != tags_.end() && "put r_tag not registered");
+          if (it == tags_.end()) {
+            // r_tag came off the wire in the handshake: with no callback
+            // registered for it the put completes unannounced, counted.
+            ++malformed_handshakes_;
+            break;
+          }
           std::optional<des::ChargeSpan> span;
           if (rank_.engine().trace_sink() != nullptr) {
             span.emplace(rank_.engine(), "put.r_cb");
@@ -257,25 +279,36 @@ int MpiBackend::progress() {
           des::emit_flow(rank_.engine(), "put",
                          put_flow_id(e.origin, e.data_tag),
                          /*begin=*/false);
-          it->second.cb(*this, e.r_tag, e.r_cb_data.data(),
-                        e.r_cb_data.size(), e.origin, it->second.cb_data);
-          done[idx] = true;
+          // A reentrant put may grow entries_ and move this entry's
+          // inline bytes, so the callback reads a copy on the stack.
+          std::array<std::byte, kInlineCbBytes> cb_copy{};
+          const std::byte* cb_data = e.r_cb_spill.data();
+          if (e.r_cb_size <= kInlineCbBytes) {
+            std::memcpy(cb_copy.data(), e.r_cb_inline.data(), e.r_cb_size);
+            cb_data = cb_copy.data();
+          }
+          it->second.cb(*this, e.r_tag, cb_data, e.r_cb_size, e.origin,
+                        it->second.cb_data);
           break;
         }
       }
       ++total;
     }
 
-    // Compact: completed non-persistent entries leave; free space is at
-    // the back.  Entries appended by callbacks (index >= done.size())
-    // are kept.
-    std::vector<Entry> kept;
-    kept.reserve(entries_.size());
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (i < done.size() && done[i]) continue;
-      kept.push_back(std::move(entries_[i]));
+    // Compact in place, keeping order: completed transfers leave, free
+    // space is at the back.  Entries appended by callbacks carry live
+    // ids and stay.
+    if (finished > 0) {
+      std::size_t w = 0;
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        if (entries_[i].req == mmpi::kNullRequest) continue;
+        if (w != i) entries_[w] = std::move(entries_[i]);
+        ++w;
+      }
+      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(w),
+                     entries_.end());
+      data_active_ -= static_cast<int>(finished);
     }
-    entries_ = std::move(kept);
 
     drain_pending();
   }
@@ -288,17 +321,19 @@ void MpiBackend::peer_failed(int remote) {
   // is not permanently consumed by a corpse.  Idempotent — after the
   // first call nothing matching `remote` remains.
   std::size_t recvs = 0;
-  std::vector<Entry> kept;
   std::vector<Entry> released_sends;
-  kept.reserve(entries_.size());
-  for (Entry& e : entries_) {
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    Entry& e = entries_[i];
     const bool doomed =
         (e.kind == Entry::Kind::DataSend && e.remote == remote) ||
         (e.kind == Entry::Kind::DataRecv && e.origin == remote);
     if (!doomed) {
-      kept.push_back(std::move(e));
+      if (w != i) entries_[w] = std::move(e);
+      ++w;
       continue;
     }
+    --data_active_;
     rank_.cancel(e.req);
     if (e.kind == Entry::Kind::DataSend) {
       // Put sends are locally complete the moment the data leaves the
@@ -313,7 +348,8 @@ void MpiBackend::peer_failed(int remote) {
       ++recvs;
     }
   }
-  entries_ = std::move(kept);
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(w),
+                 entries_.end());
 
   // Deferred work targeting the corpse: deferred sends were never posted
   // (req unset); dynamic recvs hold a live request that must be dropped.
@@ -349,12 +385,8 @@ void MpiBackend::peer_failed(int remote) {
 }
 
 bool MpiBackend::idle() const {
-  if (!pending_.empty()) return false;
-  if (rank_.pending_incoming() > 0) return false;
-  for (const Entry& e : entries_) {
-    if (e.kind != Entry::Kind::AmRecv) return false;
-  }
-  return true;
+  return pending_.empty() && rank_.pending_incoming() == 0 &&
+         data_active_ == 0;
 }
 
 }  // namespace ce

@@ -18,8 +18,10 @@
 //     a pass completes nothing (§4.2.3).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -49,19 +51,27 @@ class MpiBackend final : public CommEngine {
           std::ptrdiff_t rdispl, std::size_t size, int remote,
           OnesidedCallback l_cb, void* l_cb_data, Tag r_tag,
           const void* r_cb_data, std::size_t r_cb_data_size) override;
+  /// Not reentrant: callbacks it runs must not call progress() again.
   int progress() override;
   void peer_failed(int remote) override;
   bool idle() const override;
   void set_wake_callback(std::function<void()> fn) override;
-  const CeStats& stats() const override { return stats_; }
-  void set_recorder(obs::Recorder* rec) override { rec_ = rec; }
+  /// malformed_msgs counts handshakes that failed to parse or named an
+  /// unregistered r_tag, plus the mmpi frames the rank dropped unread.
+  const CeStats& stats() const override;
+  void set_recorder(obs::Recorder* rec) override;
 
  private:
+  /// Test-suite access to entries_, to recount what data_active_ counts.
+  friend struct MpiBackendTestPeer;
+
   struct AmTagInfo {
     AmCallback cb;
     void* cb_data = nullptr;
     std::size_t max_len = 0;
   };
+
+  static constexpr std::size_t kInlineCbBytes = 64;
 
   /// One entry of the global request array + parallel callback array.
   struct Entry {
@@ -79,9 +89,12 @@ class MpiBackend final : public CommEngine {
     std::size_t size = 0;
     int remote = -1;
     std::uint64_t data_tag = 0;
-    // DataRecv: remote-completion callback data.
+    // DataRecv: remote-completion callback data, inline when it fits (the
+    // runtime's DATA ARRIVED record does) so a put allocates nothing.
     Tag r_tag = 0;
-    std::vector<std::byte> r_cb_data;
+    std::size_t r_cb_size = 0;
+    std::array<std::byte, kInlineCbBytes> r_cb_inline{};
+    std::vector<std::byte> r_cb_spill;  ///< used past kInlineCbBytes
     int origin = -1;
     /// When this transfer entered the engine (put() call / handshake
     /// arrival) — start of the put_local/put_remote latency histograms.
@@ -95,7 +108,7 @@ class MpiBackend final : public CommEngine {
     Entry entry;  ///< fully formed; req set for PromoteRecv only
   };
 
-  int data_entries_active() const;
+  void push_data_entry(Entry&& e);
   void start_data_send(Entry&& e);
   void drain_pending();
   void handle_handshake(const void* msg, std::size_t size, int src);
@@ -103,13 +116,25 @@ class MpiBackend final : public CommEngine {
 
   mmpi::Rank& rank_;
   CeConfig cfg_;
-  CeStats stats_;
+  mutable CeStats stats_;  ///< malformed_msgs refreshed by stats()
+  std::uint64_t malformed_handshakes_ = 0;
   std::unordered_map<Tag, AmTagInfo> tags_;
   std::vector<Entry> entries_;        ///< the global array
+  /// Entries of entries_ that are data transfers (not AmRecv).  A
+  /// completed transfer keeps its array slot until the pass's compaction.
+  int data_active_ = 0;
   std::deque<Pending> pending_;       ///< deferred sends + dynamic recvs
   std::uint64_t next_data_tag_;
   std::function<void()> wake_;
+  // Scratch kept across calls so steady state allocates nothing: put()'s
+  // handshake (rank_.send copies it out) and progress()'s Testsome array
+  // and result.
+  std::vector<std::byte> handshake_buf_;
+  std::vector<mmpi::RequestId> ids_;
+  mmpi::Rank::TestsomeResult done_;
   obs::Recorder* rec_ = nullptr;
+  obs::Histogram* h_put_local_ = nullptr;
+  obs::Histogram* h_put_remote_ = nullptr;
 };
 
 }  // namespace ce

@@ -42,12 +42,13 @@ inline std::uint64_t put_flow_id(int origin, std::uint64_t data_tag) {
                      << 40);
 }
 
-/// Serializes header + callback data (+ optional eager payload bytes).
-inline std::vector<std::byte> pack_handshake(const PutHandshake& h,
-                                             const void* r_cb_data,
-                                             const void* eager_data,
-                                             std::size_t eager_size) {
-  std::vector<std::byte> buf(sizeof(PutHandshake) + h.r_cb_size + eager_size);
+/// Serializes header + callback data (+ optional eager payload bytes) into
+/// `buf`, reusing its capacity.
+inline void pack_handshake_into(std::vector<std::byte>& buf,
+                                const PutHandshake& h, const void* r_cb_data,
+                                const void* eager_data,
+                                std::size_t eager_size) {
+  buf.assign(sizeof(PutHandshake) + h.r_cb_size + eager_size, std::byte{0});
   std::memcpy(buf.data(), &h, sizeof h);
   if (h.r_cb_size > 0) {
     assert(r_cb_data != nullptr);
@@ -56,6 +57,14 @@ inline std::vector<std::byte> pack_handshake(const PutHandshake& h,
   if (eager_size > 0 && eager_data != nullptr) {
     std::memcpy(buf.data() + sizeof h + h.r_cb_size, eager_data, eager_size);
   }
+}
+
+inline std::vector<std::byte> pack_handshake(const PutHandshake& h,
+                                             const void* r_cb_data,
+                                             const void* eager_data,
+                                             std::size_t eager_size) {
+  std::vector<std::byte> buf;
+  pack_handshake_into(buf, h, r_cb_data, eager_data, eager_size);
   return buf;
 }
 

@@ -232,7 +232,7 @@ void ReliableChannel::shim_send(net::Message&& m,
   unacked_[peer].push_back(SeqSlot{seq, slot});
 
   ++domain_.stats_.data_sent;
-  if (domain_.rec_ != nullptr) domain_.rec_->counter("ce.rel.data").add();
+  if (domain_.c_data_ != nullptr) domain_.c_data_->add();
   transmit(dst, seq, std::move(on_sent));
   arm_timer(dst, seq);
 }
@@ -483,6 +483,11 @@ std::size_t ReliableDomain::unacked() const {
 
 std::size_t ReliableDomain::unacked(net::NodeId node) const {
   return channels_.at(static_cast<std::size_t>(node))->unacked();
+}
+
+void ReliableDomain::set_recorder(obs::Recorder* rec) {
+  rec_ = rec;
+  c_data_ = rec ? &rec->counter("ce.rel.data") : nullptr;
 }
 
 void ReliableDomain::peer_dead(net::NodeId peer) {

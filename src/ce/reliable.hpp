@@ -206,7 +206,7 @@ class ReliableDomain {
 
   /// Metrics sink for ce.rel.* counters and retransmit-latency histograms
   /// (null detaches; not owned).
-  void set_recorder(obs::Recorder* rec) { rec_ = rec; }
+  void set_recorder(obs::Recorder* rec);
 
   /// Messages currently awaiting an ACK, over all nodes (quiescence
   /// check for drivers and tests).
@@ -224,6 +224,7 @@ class ReliableDomain {
   ReliableConfig cfg_;
   ReliableStats stats_;
   obs::Recorder* rec_ = nullptr;
+  obs::Counter* c_data_ = nullptr;  ///< ce.rel.data, one per tracked send
   DeliveryErrorCallback on_error_;
   SuspicionHook on_suspect_;
   std::vector<std::unique_ptr<ReliableChannel>> channels_;

@@ -4,19 +4,13 @@
 #include <cstring>
 
 namespace mmpi {
-namespace {
-
-// WireHeader::kind values for the mmpi protocol.
-enum : std::uint16_t {
-  kEager = 1,  // payload inline
-  kRts = 2,    // rendezvous ready-to-send
-  kCts = 3,    // rendezvous clear-to-send
-  kData = 4,   // rendezvous bulk data (modeled RDMA write)
-};
-
-}  // namespace
 
 Rank::~Rank() = default;
+
+Rank::Rank(Mpi& mpi, int rank)
+    : mpi_(mpi),
+      rank_(rank),
+      send_seq_(static_cast<std::size_t>(mpi.fabric().num_nodes()), 0) {}
 
 Mpi::Mpi(net::Fabric& fabric, Config config)
     : fabric_(fabric), cfg_(config) {
@@ -40,7 +34,10 @@ int Rank::size() const { return mpi_.size(); }
 
 des::Engine& Rank::engine() { return mpi_.fabric().engine(); }
 
-std::uint64_t Rank::next_seq(int dst) { return send_seq_[dst]++; }
+std::uint64_t Rank::next_seq(int dst) {
+  assert(dst >= 0 && static_cast<std::size_t>(dst) < send_seq_.size());
+  return send_seq_[static_cast<std::size_t>(dst)]++;
+}
 
 void Rank::charge_thread_switch() {
   des::SimThread* caller = des::SimThread::current();
@@ -55,6 +52,51 @@ void Rank::deliver(net::Message&& m) {
   // Hardware queue: no software cost until some MPI call progresses.
   incoming_.push_back(std::move(m));
   notify();
+}
+
+// ---------------------------------------------------------------------------
+// Request slab
+
+Rank::Request& Rank::new_request(Request::Kind kind, Request::State state) {
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Request& r = slots_[slot];
+  const std::uint32_t gen = r.gen;
+  r = Request{};
+  r.gen = gen;
+  r.kind = kind;
+  r.state = state;
+  r.id = (static_cast<RequestId>(gen) << 32) | slot;
+  if (state == Request::State::Complete) ++complete_;
+  return r;
+}
+
+Rank::Request* Rank::find(RequestId id) {
+  const auto slot = static_cast<std::size_t>(id & 0xFFFF'FFFFu);
+  if (id == kNullRequest || slot >= slots_.size()) return nullptr;
+  Request& r = slots_[slot];
+  return r.id == id ? &r : nullptr;
+}
+
+void Rank::free_slot(Request& r) {
+  if (r.state == Request::State::Complete) --complete_;
+  free_slots_.push_back(static_cast<std::uint32_t>(r.id & 0xFFFF'FFFFu));
+  r.id = kNullRequest;
+  r.state = Request::State::Inactive;
+  r.staged.reset();
+  if (++r.gen == 0) r.gen = 1;  // generation 0 would let id 0 name slot 0
+}
+
+void Rank::set_complete(Request& r) {
+  if (r.state == Request::State::Complete) return;
+  r.state = Request::State::Complete;
+  ++complete_;
 }
 
 // ---------------------------------------------------------------------------
@@ -87,30 +129,21 @@ RequestId Rank::isend(const void* buf, std::size_t bytes, int dst, Tag tag) {
   if (bytes <= cfg.eager_threshold) {
     // Eager: buffered semantics, locally complete at the call.
     send(buf, bytes, dst, tag);
-    auto req = std::make_unique<Request>();
-    req->kind = Request::Kind::Send;
-    req->state = Request::State::Complete;
-    req->dst = dst;
-    req->tag = tag;
-    req->bytes = bytes;
-    req->id = mpi_.next_request_id_++;
-    const RequestId id = req->id;
-    requests_.emplace(id, std::move(req));
-    return id;
+    Request& r = new_request(Request::Kind::Send, Request::State::Complete);
+    r.dst = dst;
+    r.tag = tag;
+    r.bytes = bytes;
+    return r.id;
   }
 
   charge_thread_switch();
   des::charge_current(cfg.call_overhead + cfg.rendezvous_cost);
-  auto req = std::make_unique<Request>();
-  req->kind = Request::Kind::Send;
-  req->state = Request::State::Active;
-  req->sbuf = buf;
-  req->bytes = bytes;
-  req->dst = dst;
-  req->tag = tag;
-  req->id = mpi_.next_request_id_++;
-  if (buf != nullptr) req->staged = net::make_payload(buf, bytes);
-  const RequestId id = req->id;
+  Request& r = new_request(Request::Kind::Send, Request::State::Active);
+  r.sbuf = buf;
+  r.bytes = bytes;
+  r.dst = dst;
+  r.tag = tag;
+  if (buf != nullptr) r.staged = net::make_payload(buf, bytes);
 
   net::Message rts;
   rts.src = rank_;
@@ -121,11 +154,9 @@ RequestId Rank::isend(const void* buf, std::size_t bytes, int dst, Tag tag) {
   rts.hdr.tag = tag;
   rts.hdr.seq = next_seq(dst);
   rts.hdr.size = bytes;
-  rts.hdr.imm[0] = id;
+  rts.hdr.imm[0] = r.id;
   mpi_.fabric_.nic(rank_).send(std::move(rts));
-
-  requests_.emplace(id, std::move(req));
-  return id;
+  return r.id;
 }
 
 // ---------------------------------------------------------------------------
@@ -133,78 +164,62 @@ RequestId Rank::isend(const void* buf, std::size_t bytes, int dst, Tag tag) {
 
 RequestId Rank::irecv(void* buf, std::size_t capacity, int src, Tag tag) {
   des::charge_current(mpi_.cfg_.call_overhead);
-  auto req = std::make_unique<Request>();
-  req->kind = Request::Kind::Recv;
-  req->state = Request::State::Active;
-  req->rbuf = buf;
-  req->capacity = capacity;
-  req->src = src;
-  req->tag = tag;
-  req->id = mpi_.next_request_id_++;
-  const RequestId id = req->id;
-  requests_.emplace(id, std::move(req));
-  post_recv(id);
+  Request& r = new_request(Request::Kind::Recv, Request::State::Active);
+  r.rbuf = buf;
+  r.capacity = capacity;
+  r.src = src;
+  r.tag = tag;
+  const RequestId id = r.id;
+  post_recv(r);
   return id;
 }
 
 RequestId Rank::recv_init(void* buf, std::size_t capacity, int src, Tag tag) {
   des::charge_current(mpi_.cfg_.call_overhead);
-  auto req = std::make_unique<Request>();
-  req->kind = Request::Kind::Recv;
-  req->state = Request::State::Inactive;
-  req->persistent = true;
-  req->rbuf = buf;
-  req->capacity = capacity;
-  req->src = src;
-  req->tag = tag;
-  req->id = mpi_.next_request_id_++;
-  const RequestId id = req->id;
-  requests_.emplace(id, std::move(req));
-  return id;
+  Request& r = new_request(Request::Kind::Recv, Request::State::Inactive);
+  r.persistent = true;
+  r.rbuf = buf;
+  r.capacity = capacity;
+  r.src = src;
+  r.tag = tag;
+  return r.id;
 }
 
 RequestId Rank::send_init(const void* buf, std::size_t bytes, int dst,
                           Tag tag) {
   des::charge_current(mpi_.cfg_.call_overhead);
-  auto req = std::make_unique<Request>();
-  req->kind = Request::Kind::Send;
-  req->state = Request::State::Inactive;
-  req->persistent = true;
-  req->sbuf = buf;
-  req->bytes = bytes;
-  req->dst = dst;
-  req->tag = tag;
-  req->id = mpi_.next_request_id_++;
-  const RequestId id = req->id;
-  requests_.emplace(id, std::move(req));
-  return id;
+  Request& r = new_request(Request::Kind::Send, Request::State::Inactive);
+  r.persistent = true;
+  r.sbuf = buf;
+  r.bytes = bytes;
+  r.dst = dst;
+  r.tag = tag;
+  return r.id;
 }
 
 void Rank::start(RequestId id) {
   des::charge_current(mpi_.cfg_.call_overhead);
-  auto it = requests_.find(id);
-  assert(it != requests_.end() && "start() on unknown request");
-  Request& r = *it->second;
+  Request* const found = find(id);
+  assert(found != nullptr && "start() on unknown request");
+  Request& r = *found;
   assert(r.persistent && r.state == Request::State::Inactive);
   r.state = Request::State::Active;
   if (r.kind == Request::Kind::Recv) {
-    post_recv(id);
-  } else {
+    post_recv(r);
+  } else if (r.bytes <= mpi_.cfg_.eager_threshold) {
     // Persistent send: re-issue as an eager or rendezvous send.
-    if (r.bytes <= mpi_.cfg_.eager_threshold) {
-      send(r.sbuf, r.bytes, r.dst, r.tag);
-      r.state = Request::State::Complete;
-    } else {
-      const RequestId tmp = isend(r.sbuf, r.bytes, r.dst, r.tag);
-      // Track the underlying transfer by aliasing: completion of the
-      // temporary marks the persistent request complete.
-      requests_.at(tmp)->imm_alias = id;
-    }
+    send(r.sbuf, r.bytes, r.dst, r.tag);
+    set_complete(r);
+  } else {
+    // isend() may grow the slab: `r` is dead after this call.  Track the
+    // underlying transfer by aliasing: completion of the temporary marks
+    // the persistent request complete.
+    const RequestId tmp = isend(r.sbuf, r.bytes, r.dst, r.tag);
+    find(tmp)->imm_alias = id;
   }
 }
 
-void Rank::post_recv(RequestId id) {
-  Request& r = *requests_.at(id);
+void Rank::post_recv(Request& r) {
   const Config& cfg = mpi_.cfg_;
 
   // First, search the unexpected queue (FIFO preserves MPI's
@@ -226,7 +241,7 @@ void Rank::post_recv(RequestId id) {
       return;
     }
   }
-  posted_recvs_.push_back(id);
+  posted_recvs_.push_back(PostedRecv{r.id, r.src, r.tag});
 }
 
 void Rank::accept_rts(Request& r, net::Message& rts) {
@@ -258,7 +273,7 @@ void Rank::complete_recv_from_message(Request& r, net::Message& m) {
   r.status.source = m.src;
   r.status.tag = m.hdr.tag;
   r.status.count = copied;
-  r.state = Request::State::Complete;
+  set_complete(r);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,11 +283,13 @@ Rank::Request* Rank::find_matching_posted(int src, Tag tag) {
   const Config& cfg = mpi_.cfg_;
   for (auto it = posted_recvs_.begin(); it != posted_recvs_.end(); ++it) {
     des::charge_current(cfg.match_scan_cost);
-    Request& r = *requests_.at(*it);
-    const bool src_ok = (r.src == kAnySource || r.src == src);
-    if (src_ok && r.tag == tag) {
+    const bool src_ok = (it->src == kAnySource || it->src == src);
+    if (src_ok && it->tag == tag) {
+      // Posted entries leave the queue before their request is freed
+      // (cancel), so the id is live.
+      Request* const r = find(it->id);
       posted_recvs_.erase(it);
-      return &r;
+      return r;
     }
   }
   return nullptr;
@@ -299,9 +316,15 @@ void Rank::handle_rts(net::Message& m) {
 void Rank::handle_cts(net::Message& m) {
   const Config& cfg = mpi_.cfg_;
   des::charge_current(cfg.rendezvous_cost);
-  auto it = requests_.find(m.hdr.imm[0]);
-  assert(it != requests_.end() && "CTS for unknown send request");
-  Request& r = *it->second;
+  // The id comes off the wire: only an active rendezvous send of ours may
+  // answer it.
+  Request* const found = find(m.hdr.imm[0]);
+  if (found == nullptr || found->kind != Request::Kind::Send ||
+      found->state != Request::State::Active) {
+    ++malformed_frames_;
+    return;
+  }
+  Request& r = *found;
   net::Message data;
   data.src = rank_;
   data.dst = m.src;
@@ -317,26 +340,29 @@ void Rank::handle_cts(net::Message& m) {
   // write; the completion is *observed* at the next test/testsome.
   const RequestId sid = r.id;
   mpi_.fabric_.nic(rank_).send(std::move(data), [this, sid]() {
-    auto sit = requests_.find(sid);
-    if (sit == requests_.end()) return;
-    sit->second->state = Request::State::Complete;
-    if (sit->second->imm_alias != kNullRequest) {
+    Request* const s = find(sid);
+    if (s == nullptr) return;
+    set_complete(*s);
+    if (s->imm_alias != kNullRequest) {
       // Persistent-send alias: complete the persistent request too and
       // drop the temporary.
-      auto pit = requests_.find(sit->second->imm_alias);
-      if (pit != requests_.end()) {
-        pit->second->state = Request::State::Complete;
-      }
-      requests_.erase(sit);
+      if (Request* const p = find(s->imm_alias)) set_complete(*p);
+      free_slot(*s);
     }
     notify();
   });
 }
 
 void Rank::handle_data(net::Message& m) {
-  auto it = requests_.find(m.hdr.imm[0]);
-  assert(it != requests_.end() && "DATA for unknown recv request");
-  Request& r = *it->second;
+  // The id comes off the wire: only a receive of ours that accepted an
+  // RTS (still active) may take the data.
+  Request* const found = find(m.hdr.imm[0]);
+  if (found == nullptr || found->kind != Request::Kind::Recv ||
+      found->state != Request::State::Active) {
+    ++malformed_frames_;
+    return;
+  }
+  Request& r = *found;
   // RDMA write: payload lands without a CPU copy; just complete.
   if (r.rbuf != nullptr && m.payload != nullptr) {
     const auto n = static_cast<std::size_t>(m.hdr.size);
@@ -348,13 +374,13 @@ void Rank::handle_data(net::Message& m) {
   }
   r.status.source = m.src;
   r.status.tag = m.hdr.tag;
-  r.state = Request::State::Complete;
+  set_complete(r);
 }
 
 void Rank::progress() {
-  while (!incoming_.empty()) {
-    net::Message m = std::move(incoming_.front());
-    incoming_.pop_front();
+  // Index access: the queue may grow while a frame is handled.
+  while (head_ < incoming_.size()) {
+    net::Message m = std::move(incoming_[head_++]);
     switch (m.hdr.kind) {
       case kEager:
         handle_eager(m);
@@ -369,37 +395,44 @@ void Rank::progress() {
         handle_data(m);
         break;
       default:
-        assert(false && "unknown mmpi message kind");
+        ++malformed_frames_;  // dropped unread
     }
   }
+  incoming_.clear();
+  head_ = 0;
 }
 
 // ---------------------------------------------------------------------------
 // Completion
 
-Rank::TestsomeResult Rank::testsome(std::span<const RequestId> reqs) {
+void Rank::testsome(std::span<const RequestId> reqs, TestsomeResult& out) {
   const Config& cfg = mpi_.cfg_;
   charge_thread_switch();
   des::charge_current(cfg.call_overhead);
   progress();
-  TestsomeResult out;
+  out.indices.clear();
+  out.statuses.clear();
+  // The model charges the whole array scan; the host walk stops once no
+  // complete request is left on this rank.
   des::charge_current(static_cast<des::Duration>(reqs.size()) *
                       cfg.request_scan_cost);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const RequestId id = reqs[i];
-    if (id == kNullRequest) continue;
-    auto it = requests_.find(id);
-    if (it == requests_.end()) continue;
-    Request& r = *it->second;
-    if (r.state != Request::State::Complete) continue;
+  for (std::size_t i = 0; i < reqs.size() && complete_ > 0; ++i) {
+    Request* const r = find(reqs[i]);
+    if (r == nullptr || r->state != Request::State::Complete) continue;
     out.indices.push_back(i);
-    out.statuses.push_back(r.status);
-    if (r.persistent) {
-      r.state = Request::State::Inactive;
+    out.statuses.push_back(r->status);
+    if (r->persistent) {
+      r->state = Request::State::Inactive;
+      --complete_;
     } else {
-      requests_.erase(it);
+      free_slot(*r);
     }
   }
+}
+
+Rank::TestsomeResult Rank::testsome(std::span<const RequestId> reqs) {
+  TestsomeResult out;
+  testsome(reqs, out);
   return out;
 }
 
@@ -408,15 +441,14 @@ bool Rank::test(RequestId id, MpiStatus* st) {
   charge_thread_switch();
   des::charge_current(cfg.call_overhead + cfg.request_scan_cost);
   progress();
-  auto it = requests_.find(id);
-  assert(it != requests_.end() && "test() on unknown request");
-  Request& r = *it->second;
-  if (r.state != Request::State::Complete) return false;
-  if (st != nullptr) *st = r.status;
-  if (r.persistent) {
-    r.state = Request::State::Inactive;
+  Request* const r = find(id);
+  if (r == nullptr || r->state != Request::State::Complete) return false;
+  if (st != nullptr) *st = r->status;
+  if (r->persistent) {
+    r->state = Request::State::Inactive;
+    --complete_;
   } else {
-    requests_.erase(it);
+    free_slot(*r);
   }
   return true;
 }
@@ -428,29 +460,31 @@ void Rank::poll() {
 }
 
 void Rank::free_request(RequestId id) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return;
-  assert(it->second->state != Request::State::Active &&
-         "freeing an active request");
-  requests_.erase(it);
+  Request* const r = find(id);
+  if (r == nullptr) return;
+  assert(r->state != Request::State::Active && "freeing an active request");
+  free_slot(*r);
 }
 
 void Rank::cancel(RequestId id) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return;
-  for (auto pit = posted_recvs_.begin(); pit != posted_recvs_.end(); ++pit) {
-    if (*pit == id) {
-      posted_recvs_.erase(pit);
+  Request* const r = find(id);
+  if (r == nullptr) return;
+  for (auto it = posted_recvs_.begin(); it != posted_recvs_.end(); ++it) {
+    if (it->id == id) {
+      posted_recvs_.erase(it);
       break;
     }
   }
-  requests_.erase(it);
+  free_slot(*r);
 }
 
 std::size_t Rank::purge_peer(int peer) {
   // Queued traffic from the dead peer will never be matched: flush it
   // from the hardware and unexpected queues before touching requests so
   // no handler resurrects it.
+  incoming_.erase(incoming_.begin(),
+                  incoming_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
   std::erase_if(incoming_, [peer](const net::Message& m) {
     return m.src == peer;
   });
@@ -458,18 +492,17 @@ std::size_t Rank::purge_peer(int peer) {
     return m.src == peer;
   });
 
-  std::vector<RequestId> doomed;
-  for (const auto& [id, req] : requests_) {
-    if (req->state != Request::State::Active) continue;
-    if (req->kind == Request::Kind::Send && req->dst == peer) {
-      doomed.push_back(id);
-    } else if (req->kind == Request::Kind::Recv && req->src == peer) {
-      // Wildcard receives stay posted — another rank can still match.
-      doomed.push_back(id);
+  std::size_t cancelled = 0;
+  for (Request& r : slots_) {
+    if (r.id == kNullRequest || r.state != Request::State::Active) continue;
+    // Wildcard receives stay posted — another rank can still match.
+    if ((r.kind == Request::Kind::Send && r.dst == peer) ||
+        (r.kind == Request::Kind::Recv && r.src == peer)) {
+      cancel(r.id);
+      ++cancelled;
     }
   }
-  for (const RequestId id : doomed) cancel(id);
-  return doomed.size();
+  return cancelled;
 }
 
 }  // namespace mmpi

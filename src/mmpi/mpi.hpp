@@ -21,11 +21,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "des/sim_thread.hpp"
@@ -38,8 +36,22 @@ namespace mmpi {
 inline constexpr int kAnySource = -1;
 
 using Tag = std::uint64_t;
+
+/// Names a request within its rank: generation in the high 32 bits, slot
+/// index in the low 32.  A slot's generation advances when the request is
+/// freed, so a stale id (or a made-up one) never names the slot's next
+/// occupant; lookup is an index plus one compare.  Ids are only meaningful
+/// on the rank that issued them.
 using RequestId = std::uint64_t;
 inline constexpr RequestId kNullRequest = 0;
+
+/// WireHeader::kind values of the mmpi protocol.
+enum WireKind : std::uint16_t {
+  kEager = 1,  ///< payload inline
+  kRts = 2,    ///< rendezvous ready-to-send; imm[0] = sender's request
+  kCts = 3,    ///< clear-to-send; imm[0] = sender's, imm[1] = receiver's
+  kData = 4,   ///< rendezvous bulk data (RDMA write); imm[0] = receiver's
+};
 
 struct Config {
   /// Messages at or below this size use the eager protocol.
@@ -106,22 +118,29 @@ class Rank {
   };
 
   /// MPI_Testsome: progresses the library, then reports completed requests
-  /// among `reqs` (kNullRequest entries are skipped).  Completed persistent
-  /// requests become inactive (restart with start()); completed ordinary
-  /// requests are freed and their ids invalidated.
+  /// among `reqs` into `out` (cleared first; the caller keeps it between
+  /// calls so its capacity is reused).  kNullRequest and stale ids are
+  /// skipped.  Completed persistent requests become inactive (restart
+  /// with start()); completed ordinary requests are freed and their ids
+  /// invalidated.  The simulated charge is request_scan_cost per array
+  /// element whatever the outcome; the host walk over `reqs` is skipped
+  /// when no request on this rank is complete.
+  void testsome(std::span<const RequestId> reqs, TestsomeResult& out);
   TestsomeResult testsome(std::span<const RequestId> reqs);
 
   /// MPI_Test on one request; on completion fills `st` (may be null) and,
-  /// for non-persistent requests, frees the request.
+  /// for non-persistent requests, frees the request.  A stale or unknown
+  /// id reports false.
   bool test(RequestId req, MpiStatus* st);
 
-  /// Frees an inactive persistent request.
+  /// Frees an inactive persistent request.  Stale ids are ignored.
   void free_request(RequestId req);
 
   /// MPI_Cancel + MPI_Request_free in one step: drops a request even if
   /// it is still Active (a transfer wedged on a dead peer will never
-  /// complete, so normal completion rules cannot apply).  Unknown ids are
-  /// ignored.  Posted-receive queue entries for the request are removed.
+  /// complete, so normal completion rules cannot apply).  Unknown and
+  /// stale ids are ignored.  Posted-receive queue entries for the request
+  /// are removed.
   void cancel(RequestId req);
 
   /// Drops every request wedged on `peer` (Active sends to it, Active
@@ -137,7 +156,17 @@ class Rank {
 
   /// Number of messages sitting in the hardware queue, not yet matched
   /// (visible for tests and instrumentation).
-  std::size_t pending_incoming() const { return incoming_.size(); }
+  std::size_t pending_incoming() const { return incoming_.size() - head_; }
+
+  /// Requests allocated and not yet freed, in any state.
+  std::size_t live_requests() const {
+    return slots_.size() - free_slots_.size();
+  }
+
+  /// Frames dropped unread: an unknown kind, or a CTS / DATA naming a
+  /// request that is not this rank's rendezvous send / receive waiting
+  /// for it (a stale, cancelled or made-up id).
+  std::uint64_t malformed_frames() const { return malformed_frames_; }
 
   /// The simulation engine driving this rank's fabric (for timestamps and
   /// tracing in layers that only hold a Rank).
@@ -154,8 +183,10 @@ class Rank {
 
  private:
   friend class Mpi;
-  Rank(Mpi& mpi, int rank) : mpi_(mpi), rank_(rank) {}
+  Rank(Mpi& mpi, int rank);
 
+  /// One slot of the request slab.  A free slot has id == kNullRequest
+  /// and keeps `gen`, the generation its next occupant's id will carry.
   struct Request {
     enum class Kind { Send, Recv };
     enum class State { Inactive, Active, Complete };
@@ -178,10 +209,28 @@ class Rank {
     Tag tag = 0;
     MpiStatus status;
     RequestId id = kNullRequest;
+    std::uint32_t gen = 1;
     /// For persistent sends re-issued through isend(): the persistent
     /// request whose completion mirrors this temporary one.
     RequestId imm_alias = kNullRequest;
   };
+
+  /// Posted-receive queue element: the match keys live inline so the
+  /// matching walk reads no request.
+  struct PostedRecv {
+    RequestId id;
+    int src;
+    Tag tag;
+  };
+
+  /// Takes a slot (free list first, LIFO, else a new one) and stamps it
+  /// with a fresh id.  Grows the slab: invalidates Request references.
+  Request& new_request(Request::Kind kind, Request::State state);
+  /// Null for kNullRequest, stale and out-of-range ids.
+  Request* find(RequestId id);
+  /// Returns the slot to the free list and retires its id.
+  void free_slot(Request& r);
+  void set_complete(Request& r);
 
   void progress();
   void deliver(net::Message&& m);
@@ -192,16 +241,24 @@ class Rank {
   void handle_data(net::Message& m);
   Request* find_matching_posted(int src, Tag tag);
   void complete_recv_from_message(Request& r, net::Message& m);
-  void post_recv(RequestId id);
+  void post_recv(Request& r);
   std::uint64_t next_seq(int dst);
 
   Mpi& mpi_;
   int rank_;
-  std::deque<net::Message> incoming_;       ///< hardware queue
-  std::vector<RequestId> posted_recvs_;     ///< posted-receive queue (FIFO)
-  std::deque<net::Message> unexpected_;     ///< unexpected-message queue
-  std::unordered_map<int, std::uint64_t> send_seq_;
-  std::unordered_map<RequestId, std::unique_ptr<Request>> requests_;
+  /// Hardware queue: FIFO from head_; progress() drains it whole and then
+  /// rewinds, so steady state reuses one buffer.
+  std::vector<net::Message> incoming_;
+  std::size_t head_ = 0;
+  std::vector<PostedRecv> posted_recvs_;    ///< posted-receive queue (FIFO)
+  /// Unexpected-message queue (FIFO).  A vector: the matching walk is
+  /// linear anyway, and erasing keeps its capacity.
+  std::vector<net::Message> unexpected_;
+  std::vector<std::uint64_t> send_seq_;     ///< per destination rank
+  std::vector<Request> slots_;              ///< the request slab
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t complete_ = 0;  ///< requests in State::Complete
+  std::uint64_t malformed_frames_ = 0;
   std::function<void()> notifier_;
   des::SimThread* last_caller_ = nullptr;
 
@@ -233,7 +290,6 @@ class Mpi {
   net::Fabric& fabric_;
   Config cfg_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  RequestId next_request_id_ = 1;
 };
 
 }  // namespace mmpi

@@ -20,6 +20,22 @@
 #include "des/sim_thread.hpp"
 #include "net/fabric.hpp"
 
+namespace ce {
+
+/// Reads MpiBackend's transfer accounting and recounts it from the array.
+struct MpiBackendTestPeer {
+  static int counted(const MpiBackend& b) { return b.data_active_; }
+  static int recounted(const MpiBackend& b) {
+    int n = 0;
+    for (const MpiBackend::Entry& e : b.entries_) {
+      if (e.kind != MpiBackend::Entry::Kind::AmRecv) ++n;
+    }
+    return n;
+  }
+};
+
+}  // namespace ce
+
 namespace {
 
 using ce::BackendKind;
@@ -361,8 +377,6 @@ TEST(CeMpiBackend, DynamicRecvsPromotedInFifoOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-// --- LCI-backend-specific mechanisms ---------------------------------------
-
 TEST(CeMpiBackend, MalformedHandshakeIsDroppedAndCounted) {
   CeWorld w(2, BackendKind::Mpi);
   // A header that claims 64 callback bytes, followed by none of them.
@@ -376,6 +390,172 @@ TEST(CeMpiBackend, MalformedHandshakeIsDroppedAndCounted) {
   EXPECT_EQ(w.engine(1).stats().malformed_msgs, 1u);
   EXPECT_TRUE(w.engine(1).idle());  // no receive was posted for it
 }
+
+TEST(CeMpiBackend, PutNamingAnUnregisteredTagCompletesUnannounced) {
+  CeWorld w(2, BackendKind::Mpi);
+  w.engine(0).tag_reg(kPutDone, [](auto&&...) {}, nullptr, 64);
+  // Node 1 never registers kPutDone, the tag the handshake names.
+  bool local_done = false;
+  const MemReg lreg{0, nullptr, 4096};
+  const MemReg rreg{1, nullptr, 4096};
+  w.engine(0).put(
+      lreg, 0, rreg, 0, 4096, 1,
+      [&](CommEngine&, const MemReg&, std::ptrdiff_t, const MemReg&,
+          std::ptrdiff_t, std::size_t, int, void*) { local_done = true; },
+      nullptr, kPutDone, "d", 1);
+  w.run();
+  EXPECT_TRUE(local_done);
+  EXPECT_EQ(w.engine(1).stats().puts_completed_remote, 1u);
+  EXPECT_EQ(w.engine(1).stats().malformed_msgs, 1u);
+  EXPECT_TRUE(w.world.all_idle());
+}
+
+TEST(CeMpiBackend, MalformedMmpiFramesSurfaceInCeStats) {
+  CeWorld w(2, BackendKind::Mpi);
+  // CTS and DATA naming no request of node 1's, and a kind mmpi does not
+  // define: each is dropped unread by node 1's MPI library.
+  const std::uint16_t kinds[] = {mmpi::kCts, mmpi::kData, 99};
+  for (const std::uint16_t kind : kinds) {
+    net::Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.wire_bytes = 64;
+    m.hdr.proto = net::kProtoMpi;
+    m.hdr.kind = kind;
+    m.hdr.imm[0] = 0x0BAD'0000'0001ULL;
+    m.hdr.imm[1] = 0x0BAD'0000'0002ULL;
+    w.fab.nic(0).send(std::move(m));
+  }
+  w.run();
+  EXPECT_EQ(w.engine(1).stats().malformed_msgs, 3u);
+  EXPECT_EQ(w.engine(0).stats().malformed_msgs, 0u);
+  EXPECT_TRUE(w.world.all_idle());
+}
+
+// The backend counts the data transfers holding array slots instead of
+// scanning the array.  Puts issued from inside AM callbacks and
+// remote-completion callbacks, a cap small enough to defer, and a peer
+// declared failed with transfers wedged on it must all keep the count
+// equal to a recount of the array, and within the cap.
+TEST(CeMpiBackend, TransferCountMatchesTheArrayUnderReentrantPuts) {
+  constexpr int kCap = 4;
+  constexpr int kDead = 2;  // never progresses; declared failed mid-run
+  constexpr Tag kPing = 10;
+  CeConfig cfg;
+  cfg.max_concurrent_transfers = kCap;
+  des::Engine eng;
+  net::Fabric fab(eng, 3);
+  CommWorld world(fab, BackendKind::Mpi, cfg);
+  const auto backend = [&world](int n) -> const ce::MpiBackend& {
+    return static_cast<const ce::MpiBackend&>(world.engine(n));
+  };
+  int checks = 0;
+  const auto check = [&](int n) {
+    const ce::MpiBackend& b = backend(n);
+    EXPECT_EQ(ce::MpiBackendTestPeer::counted(b),
+              ce::MpiBackendTestPeer::recounted(b))
+        << "node " << n << " after check " << checks;
+    EXPECT_LE(ce::MpiBackendTestPeer::counted(b), kCap);
+    ++checks;
+  };
+
+  int budget = 200;  // puts the callbacks may still issue
+  int local_done = 0, remote_done = 0, dead_released = 0;
+  const auto put_back = [&](CommEngine& ce, int to) {
+    if (budget == 0) return;
+    // Alternate eager (locally complete at once) and rendezvous sizes.
+    const std::size_t bytes = budget-- % 2 == 0 ? 4096 : 64 * 1024;
+    const MemReg l{ce.rank(), nullptr, bytes};
+    const MemReg r{to, nullptr, bytes};
+    ce.put(
+        l, 0, r, 0, bytes, to,
+        [&](CommEngine& e, const MemReg&, std::ptrdiff_t, const MemReg&,
+            std::ptrdiff_t, std::size_t, int, void*) {
+          ++local_done;
+          check(e.rank());
+        },
+        nullptr, kPutDone, nullptr, 0);
+    check(ce.rank());
+  };
+
+  std::vector<std::unique_ptr<des::SimThread>> threads;
+  std::vector<std::unique_ptr<des::PollLoop>> loops;
+  for (int n = 0; n < 2; ++n) {
+    CommEngine& ce = world.engine(n);
+    ce.tag_reg(
+        kPing,
+        [&](CommEngine& e, Tag, const void*, std::size_t, int src, void*) {
+          put_back(e, src);
+        },
+        nullptr, 64);
+    ce.tag_reg(
+        kPutDone,
+        [&](CommEngine& e, Tag, const void*, std::size_t, int src, void*) {
+          ++remote_done;
+          put_back(e, src);
+        },
+        nullptr, 64);
+    threads.push_back(
+        std::make_unique<des::SimThread>(eng, "comm-" + std::to_string(n)));
+    loops.push_back(std::make_unique<des::PollLoop>(
+        *threads.back(), 25, [&check, &ce]() {
+          const int k = ce.progress();
+          check(ce.rank());
+          return k > 0;
+        }));
+    ce.set_wake_callback([loop = loops.back().get()]() { loop->wake(); });
+    loops.back()->start();
+  }
+  world.engine(kDead).tag_reg(kPutDone, [](auto&&...) {}, nullptr, 64);
+
+  // Transfers that wedge on the dead node: rendezvous sends to it from
+  // both live nodes, and one receive at node 0 of a put from it (its CTS
+  // is never answered).
+  const auto dead_l_cb = [&](CommEngine&, const MemReg&, std::ptrdiff_t,
+                             const MemReg&, std::ptrdiff_t, std::size_t, int,
+                             void*) { ++dead_released; };
+  constexpr std::size_t kBig = 256 * 1024;
+  for (int n = 0; n < 2; ++n) {
+    for (int i = 0; i < 2; ++i) {
+      world.engine(n).put(MemReg{n, nullptr, kBig}, 0,
+                          MemReg{kDead, nullptr, kBig}, 0, kBig, kDead,
+                          dead_l_cb, nullptr, kPutDone, nullptr, 0);
+      check(n);
+    }
+  }
+  world.engine(kDead).put(MemReg{kDead, nullptr, kBig}, 0,
+                          MemReg{0, nullptr, kBig}, 0, kBig, 0, nullptr,
+                          nullptr, kPutDone, nullptr, 0);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_EQ(world.engine(0).send_am(kPing, 1, "p", 1), ce::Status::Ok);
+    ASSERT_EQ(world.engine(1).send_am(kPing, 0, "p", 1), ce::Status::Ok);
+  }
+  eng.schedule_at(30 * des::kMicrosecond, [&]() {
+    for (int n = 0; n < 2; ++n) {
+      world.engine(n).peer_failed(kDead);
+      check(n);
+    }
+  });
+  for (auto& l : loops) l->wake();
+  eng.run();
+  for (auto& l : loops) l->stop();
+
+  EXPECT_EQ(budget, 0);
+  EXPECT_EQ(local_done, 200);
+  EXPECT_EQ(remote_done, 200);
+  EXPECT_EQ(dead_released, 4);
+  const std::uint64_t deferred = world.engine(0).stats().puts_deferred +
+                                 world.engine(1).stats().puts_deferred;
+  EXPECT_GT(deferred, 0u);  // the cap was reached
+  EXPECT_EQ(world.engine(0).stats().peer_failed_recvs, 1u);
+  EXPECT_GT(checks, 400);
+  for (int n = 0; n < 2; ++n) {
+    check(n);
+    EXPECT_TRUE(world.engine(n).idle()) << "node " << n;
+  }
+}
+
+// --- LCI-backend-specific mechanisms ---------------------------------------
 
 TEST(CeLciBackend, EagerPutRidesHandshake) {
   CeConfig cfg;

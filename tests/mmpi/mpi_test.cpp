@@ -299,6 +299,115 @@ TEST(Mmpi, RendezvousLatencyExceedsEagerForSmallVsLarge) {
   ASSERT_TRUE(w.wait(0, rs, nullptr));
 }
 
+// Request ids carry a generation: once a request is freed, its id names
+// nothing, even after the slot holds a new request.
+TEST(Mmpi, StaleIdNeverTouchesTheSlotsNextRequest) {
+  World w(2);
+  Rank& r1 = w.mpi.rank(1);
+  std::array<char, 8> buf{};
+  const RequestId old_id = r1.irecv(buf.data(), buf.size(), 0, 1);
+  w.mpi.rank(0).send("a", 1, 1, 1);
+  w.eng.run();
+  const std::array<RequestId, 1> old_arr{old_id};
+  ASSERT_EQ(r1.testsome(old_arr).indices.size(), 1u);  // completes, freed
+  EXPECT_EQ(r1.live_requests(), 0u);
+
+  const RequestId fresh = r1.irecv(buf.data(), buf.size(), 0, 2);
+  ASSERT_NE(fresh, old_id);
+  // The slot was reused (same low half), so the checks below are not
+  // vacuous: only the generation tells the two ids apart.
+  ASSERT_EQ(fresh & 0xFFFF'FFFFu, old_id & 0xFFFF'FFFFu);
+
+  r1.cancel(old_id);
+  r1.free_request(old_id);
+  EXPECT_FALSE(r1.test(old_id, nullptr));
+  w.mpi.rank(0).send("b", 1, 1, 2);
+  w.eng.run();
+  // A stale id in the array is skipped even though the slot's request is
+  // now complete...
+  EXPECT_TRUE(r1.testsome(old_arr).indices.empty());
+  ASSERT_EQ(r1.live_requests(), 1u);
+  // ...and the new request still completes under its own id.
+  const std::array<RequestId, 2> both{old_id, fresh};
+  const auto res = r1.testsome(both);
+  ASSERT_EQ(res.indices.size(), 1u);
+  EXPECT_EQ(res.indices[0], 1u);
+  EXPECT_EQ(res.statuses[0].tag, 2u);
+  EXPECT_EQ(buf[0], 'b');
+  EXPECT_EQ(r1.live_requests(), 0u);
+}
+
+TEST(Mmpi, PersistentRequestKeepsItsIdAcrossCycles) {
+  World w(2);
+  Rank& r1 = w.mpi.rank(1);
+  std::array<char, 8> pbuf{}, tbuf{};
+  const RequestId p = r1.recv_init(pbuf.data(), pbuf.size(), kAnySource, 5);
+  const std::array<RequestId, 1> arr{p};
+  Rank::TestsomeResult res;
+  for (int round = 0; round < 4; ++round) {
+    // Churn the slab with a non-persistent request each round.
+    const RequestId t = r1.irecv(tbuf.data(), tbuf.size(), 0, 6);
+    w.mpi.rank(0).send("t", 1, 1, 6);
+    ASSERT_TRUE(w.wait(1, t, nullptr));
+
+    r1.start(p);
+    const char c = static_cast<char>('0' + round);
+    w.mpi.rank(0).send(&c, 1, 1, 5);
+    w.eng.run();
+    r1.testsome(arr, res);
+    ASSERT_EQ(res.indices.size(), 1u) << "round " << round;
+    EXPECT_EQ(pbuf[0], c);
+    EXPECT_EQ(r1.live_requests(), 1u);  // only the persistent one
+  }
+  r1.free_request(p);
+  EXPECT_EQ(r1.live_requests(), 0u);
+}
+
+// CTS and DATA frames name a request by the id they carry.  A frame whose
+// id names no request waiting for it, and a frame of unknown kind, are
+// dropped and counted instead of aborting.
+TEST(Mmpi, FramesNamingNoWaitingRequestAreDroppedAndCounted) {
+  World w(2);
+  Rank& r1 = w.mpi.rank(1);
+  const auto inject = [&w](std::uint16_t kind, RequestId imm0,
+                           RequestId imm1 = mmpi::kNullRequest) {
+    net::Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.wire_bytes = 64;
+    m.hdr.proto = net::kProtoMpi;
+    m.hdr.kind = kind;
+    m.hdr.tag = 3;
+    m.hdr.size = 1 << 20;
+    m.hdr.imm[0] = imm0;
+    m.hdr.imm[1] = imm1;
+    w.fab.nic(0).send(std::move(m));
+  };
+
+  // A stale receive id: completed and freed before its DATA "arrives".
+  std::array<char, 8> buf{};
+  const RequestId stale = r1.irecv(buf.data(), buf.size(), 0, 3);
+  w.mpi.rank(0).send("s", 1, 1, 3);
+  ASSERT_TRUE(w.wait(1, stale, nullptr));
+  // A live receive: a CTS naming it is not a send of ours.
+  const RequestId live = r1.irecv(buf.data(), buf.size(), 0, 4);
+
+  inject(mmpi::kCts, 0xDEAD'BEEF'0000'0007ULL);  // bogus id
+  inject(mmpi::kData, stale);
+  inject(mmpi::kCts, live);
+  inject(99, 0);  // unknown kind
+  w.eng.run();
+  r1.poll();
+  EXPECT_EQ(r1.malformed_frames(), 4u);
+  EXPECT_EQ(r1.pending_incoming(), 0u);
+  EXPECT_EQ(w.mpi.rank(0).malformed_frames(), 0u);
+
+  // The live receive was not disturbed.
+  w.mpi.rank(0).send("L", 1, 1, 4);
+  ASSERT_TRUE(w.wait(1, live, nullptr));
+  EXPECT_EQ(buf[0], 'L');
+}
+
 // Parameterized sweep across message sizes spanning the eager/rendezvous
 // boundary: payload integrity must hold for every size.
 class MmpiSizeSweep : public ::testing::TestWithParam<std::size_t> {};
