@@ -27,12 +27,18 @@
 //                        steady-state heap allocations per AM and per put
 //                        (deterministic counts, pinned by the smoke
 //                        guard) and fabric messages per wall second.
+//   * reliable         — closed loop of tracked 1 KiB data frames between
+//                        two nodes through ce::ReliableDomain: heap
+//                        allocations inside the sublayer per data frame
+//                        (send + receive + ACK send) and per ACK receive
+//                        (deterministic counts, pinned by the smoke
+//                        guard) and frames per wall second.
 //   * fig4_reduced     — wall-clock of a reduced fig-4 cell (4 nodes,
 //                        N=36,000, nb=3,000, Model mode, LCI backend):
 //                        end-to-end sanity that micro-wins survive the
 //                        full stack.
 //
-// Emits BENCH_core.json, schema_version 4 (see --out).  --smoke shrinks
+// Emits BENCH_core.json, schema_version 5 (see --out).  --smoke shrinks
 // iteration counts for CI; timing numbers from smoke runs are schema
 // fodder, not data.
 #include <algorithm>
@@ -49,6 +55,7 @@
 
 #include <type_traits>
 
+#include "ce/reliable.hpp"
 #include "ce/world.hpp"
 #include "des/engine.hpp"
 #include "des/event_queue.hpp"
@@ -79,10 +86,20 @@ void* operator new[](std::size_t n) {
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc{};
 }
+// These replacements pair malloc with free by construction.  Where GCC
+// inlines one into a caller that got its pointer from the replacement
+// operator new, it reports the pair as mismatched; the report is false.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace {
 
@@ -357,6 +374,100 @@ MpiProgressResult bench_mpi_progress(bool puts, std::size_t ops) {
 }
 
 // ---------------------------------------------------------------------------
+// Reliable sublayer: a ReliableDomain on two nodes of a clean fabric and a
+// closed loop of tracked data frames bounced between them (each delivery
+// sends the next frame back), every frame checksummed, tracked, ACKed and
+// retired.  Frames carry a shared 1 KiB payload, so the CRC covers bytes
+// as well as the header.  A pass-through shim around each node's
+// ReliableChannel counts operator new calls made inside the sublayer: a
+// data frame's send and its receive (which sends the ACK), and the ACK's
+// receive.  Warm-up first, as for mpi_progress.
+
+struct ReliableResult {
+  std::uint64_t frames = 0;       ///< tracked data frames, measured phase
+  std::uint64_t acks = 0;         ///< ACKs sent, measured phase
+  std::uint64_t data_allocs = 0;  ///< inside data frames' send and receive
+  std::uint64_t ack_allocs = 0;   ///< inside ACKs' receive
+  double frames_per_sec = 0;
+};
+
+class AllocCountingShim final : public net::LinkShim {
+ public:
+  explicit AllocCountingShim(net::LinkShim* inner) : inner_(inner) {}
+  void shim_send(net::Message&& m, std::function<void()> on_sent) override {
+    const std::uint64_t a0 = allocs_now();
+    inner_->shim_send(std::move(m), std::move(on_sent));
+    data_allocs += allocs_now() - a0;
+  }
+  bool shim_deliver(net::Message& m) override {
+    const bool ack = m.hdr.proto == net::kProtoRel;
+    const std::uint64_t a0 = allocs_now();
+    const bool consumed = inner_->shim_deliver(m);
+    (ack ? ack_allocs : data_allocs) += allocs_now() - a0;
+    return consumed;
+  }
+  net::LinkShim* inner() const { return inner_; }
+
+  std::uint64_t data_allocs = 0;
+  std::uint64_t ack_allocs = 0;
+
+ private:
+  net::LinkShim* inner_;
+};
+
+ReliableResult bench_reliable(std::size_t ops) {
+  des::Engine eng;
+  net::Fabric fab(eng, 2);
+  ce::ReliableConfig cfg;
+  cfg.enabled = true;
+  ce::ReliableDomain domain(fab, cfg);
+  const std::vector<std::byte> body(1024, std::byte{0x5A});
+  const net::PayloadPtr payload = net::make_payload(body.data(), body.size());
+  std::size_t remaining = 0;
+  const auto bounce = [&](net::NodeId from, net::NodeId to) {
+    if (remaining == 0) return;
+    --remaining;
+    net::Message m;
+    m.src = from;
+    m.dst = to;
+    m.wire_bytes = 64 + payload->size();
+    m.payload = payload;
+    fab.nic(from).send(std::move(m));
+  };
+  std::vector<std::unique_ptr<AllocCountingShim>> shims;
+  for (net::NodeId n = 0; n < 2; ++n) {
+    fab.nic(n).set_deliver_handler(
+        [&bounce, n](net::Message&& m) { bounce(n, m.src); });
+    shims.push_back(std::make_unique<AllocCountingShim>(fab.nic(n).shim()));
+    fab.nic(n).set_shim(shims.back().get());
+  }
+  const auto phase = [&](std::size_t n) {
+    remaining = n;
+    bounce(0, 1);
+    eng.run();
+  };
+  phase(ops);  // warm-up
+  for (auto& s : shims) s->data_allocs = s->ack_allocs = 0;
+  const ce::ReliableStats before = domain.stats();
+  const auto t0 = Clock::now();
+  phase(ops);
+  const double elapsed = seconds_since(t0);
+  ReliableResult r;
+  r.frames = domain.stats().data_sent - before.data_sent;
+  r.acks = domain.stats().acks_sent - before.acks_sent;
+  for (auto& s : shims) {
+    r.data_allocs += s->data_allocs;
+    r.ack_allocs += s->ack_allocs;
+  }
+  r.frames_per_sec = static_cast<double>(r.frames) / elapsed;
+  // The domain uninstalls only its own channels on destruction.
+  for (net::NodeId n = 0; n < 2; ++n) {
+    fab.nic(n).set_shim(shims[static_cast<std::size_t>(n)]->inner());
+  }
+  return r;
+}
+
+// ---------------------------------------------------------------------------
 // Timeline-sampler and flight-recorder overhead (the observability PR's
 // perf guards): the sampler hook is one compare per engine step, the
 // recorder a branch + 32-byte store per fabric send.  Both are measured
@@ -556,6 +667,30 @@ int main(int argc, char** argv) {
       mpi_am.msgs_per_sec, per_op(mpi_am.allocs), mpi_put.msgs_per_sec,
       per_op(mpi_put.allocs));
 
+  const std::size_t rel_ops = 20'000;
+  ReliableResult rel;
+  for (int r = 0; r < (smoke ? 1 : 5); ++r) {
+    const ReliableResult one = bench_reliable(rel_ops);
+    const double best = std::max(rel.frames_per_sec, one.frames_per_sec);
+    rel = one;
+    rel.frames_per_sec = best;
+  }
+  if (rel.frames != rel_ops || rel.acks != rel_ops) {
+    std::fprintf(stderr,
+                 "reliable bench: %llu frames and %llu ACKs, expected %zu\n",
+                 static_cast<unsigned long long>(rel.frames),
+                 static_cast<unsigned long long>(rel.acks), rel_ops);
+    return 1;
+  }
+  const auto per_frame = [rel_ops](std::uint64_t n) {
+    return static_cast<double>(n) / static_cast<double>(rel_ops);
+  };
+  std::printf(
+      "reliable       : %.3g frames/s (%.3g allocs/data frame, %.3g "
+      "allocs/ACK)\n",
+      rel.frames_per_sec, per_frame(rel.data_allocs),
+      per_frame(rel.ack_allocs));
+
   // A real end-to-end run first: its wall-clock and flight-record count
   // are the denominator of the recorder-overhead guard below.
   const auto fig4 = bench_fig4_reduced();
@@ -606,7 +741,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"perf_core\",\n");
-  std::fprintf(f, "  \"schema_version\": 4,\n");
+  std::fprintf(f, "  \"schema_version\": 5,\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f, "  \"schedule_pop\": {\n");
   json_field(f, "ops", static_cast<double>(ops));
@@ -639,6 +774,14 @@ int main(int argc, char** argv) {
   json_field(f, "allocs_per_put", per_op(mpi_put.allocs));
   json_field(f, "am_msgs_per_sec", mpi_am.msgs_per_sec);
   json_field(f, "put_msgs_per_sec", mpi_put.msgs_per_sec, true);
+  std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"reliable\": {\n");
+  json_field(f, "ops", static_cast<double>(rel_ops));
+  json_field(f, "data_allocs", static_cast<double>(rel.data_allocs));
+  json_field(f, "ack_allocs", static_cast<double>(rel.ack_allocs));
+  json_field(f, "allocs_per_data_frame", per_frame(rel.data_allocs));
+  json_field(f, "allocs_per_ack", per_frame(rel.ack_allocs));
+  json_field(f, "frames_per_sec", rel.frames_per_sec, true);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"timeline\": {\n");
   json_field(f, "ops", static_cast<double>(tl_ops));

@@ -1,15 +1,16 @@
 # ctest script behind the "perf"-labeled perf_core_smoke test: runs the
 # perf_core harness in smoke mode and validates the emitted
-# BENCH_core.json against the schema (v4) EXPERIMENTS.md documents.
+# BENCH_core.json against the schema (v5) EXPERIMENTS.md documents.
 # Absolute smoke-mode timing numbers are not checked against thresholds —
 # wall-clock on a loaded CI machine is noise — but the hybrid/legacy
 # SPEEDUP RATIO is machine-portable (numerator and denominator run
 # interleaved under the same load), so it is guarded against the
 # committed BENCH_core.json: a ratio more than 10% below the committed
 # full-mode ratio fails the test.  The mpi_progress section's steady-state
-# heap allocations over its AM and put phases are deterministic counts
-# (smoke and full mode run the same ops), so they are pinned exactly:
-# either one above its committed value fails the test.  Invoked as:
+# heap allocations over its AM and put phases, and the reliable section's
+# over its data frames and ACKs, are deterministic counts (smoke and full
+# mode run the same ops), so they are pinned exactly: any one above its
+# committed value fails the test.  Invoked as:
 #   cmake -DPERF_CORE=<binary> -DOUT_JSON=<path> \
 #         [-DBASELINE_JSON=<committed BENCH_core.json>] -P perf_smoke.cmake
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
@@ -35,7 +36,7 @@ if(err OR NOT bench STREQUAL "perf_core")
   message(FATAL_ERROR "BENCH_core.json: bad 'bench' field: ${bench} ${err}")
 endif()
 string(JSON schema ERROR_VARIABLE err GET "${doc}" schema_version)
-if(err OR NOT schema EQUAL 4)
+if(err OR NOT schema EQUAL 5)
   message(FATAL_ERROR "BENCH_core.json: bad 'schema_version': ${schema} ${err}")
 endif()
 string(JSON mode ERROR_VARIABLE err GET "${doc}" mode)
@@ -79,6 +80,12 @@ check_number(mpi_progress allocs_per_am)
 check_number(mpi_progress allocs_per_put)
 check_positive(mpi_progress am_msgs_per_sec)
 check_positive(mpi_progress put_msgs_per_sec)
+check_positive(reliable ops)
+check_number(reliable data_allocs)
+check_number(reliable ack_allocs)
+check_number(reliable allocs_per_data_frame)
+check_number(reliable allocs_per_ack)
+check_positive(reliable frames_per_sec)
 check_positive(fig4_reduced wall_s)
 check_positive(fig4_reduced tts_s)
 check_positive(fig4_reduced messages)
@@ -139,28 +146,34 @@ if(DEFINED BASELINE_JSON AND EXISTS "${BASELINE_JSON}")
   endforeach()
   message(STATUS "perf_core speedups within 10% of committed baseline")
 
-  # Host-cost counters of the MPI progress path: steady-state heap
-  # allocations over `ops` AMs and `ops` puts.  Exact counts, not timings —
-  # any rise above the committed value is a new allocation on that path.
-  string(JSON want_ops GET "${base}" mpi_progress ops)
-  string(JSON got_ops GET "${doc}" mpi_progress ops)
-  if(NOT got_ops EQUAL want_ops)
-    message(FATAL_ERROR "mpi_progress.ops ${got_ops} != committed ${want_ops}")
-  endif()
-  foreach(field am_allocs put_allocs)
-    string(JSON want ERROR_VARIABLE err GET "${base}" mpi_progress ${field})
-    if(err)
-      message(FATAL_ERROR
-        "baseline ${BASELINE_JSON} missing mpi_progress.${field}: ${err}")
+  # Host-cost counters: steady-state heap allocations over `ops` AMs and
+  # `ops` puts on the MPI progress path, and inside the reliable sublayer
+  # over `ops` tracked data frames and their ACKs.  Exact counts, not
+  # timings — any rise above the committed value is a new allocation on
+  # that path.
+  function(pin_counts section)
+    string(JSON want_ops GET "${base}" ${section} ops)
+    string(JSON got_ops GET "${doc}" ${section} ops)
+    if(NOT got_ops EQUAL want_ops)
+      message(FATAL_ERROR "${section}.ops ${got_ops} != committed ${want_ops}")
     endif()
-    string(JSON got GET "${doc}" mpi_progress ${field})
-    if(got GREATER want)
-      message(FATAL_ERROR
-        "MPI progress path allocates more: mpi_progress.${field} = ${got} "
-        "> committed ${want} (${BASELINE_JSON})")
-    endif()
-  endforeach()
-  message(STATUS "mpi_progress allocations within committed counts")
+    foreach(field ${ARGN})
+      string(JSON want ERROR_VARIABLE err GET "${base}" ${section} ${field})
+      if(err)
+        message(FATAL_ERROR
+          "baseline ${BASELINE_JSON} missing ${section}.${field}: ${err}")
+      endif()
+      string(JSON got GET "${doc}" ${section} ${field})
+      if(got GREATER want)
+        message(FATAL_ERROR
+          "${section} path allocates more: ${section}.${field} = ${got} "
+          "> committed ${want} (${BASELINE_JSON})")
+      endif()
+    endforeach()
+    message(STATUS "${section} allocations within committed counts")
+  endfunction()
+  pin_counts(mpi_progress am_allocs put_allocs)
+  pin_counts(reliable data_allocs ack_allocs)
 endif()
 
 message(STATUS "perf_core smoke OK: ${OUT_JSON}")

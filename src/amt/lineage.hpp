@@ -76,6 +76,12 @@ class LineageTracker {
   /// Re-arms a task for re-execution on a survivor: phase back to
   /// Pending, epoch bumped, home re-assigned.  Un-counts a Done task so
   /// the completion predicate stays exact.  Returns the new epoch.
+  ///
+  /// The only writer of `home`.  Runtime::on_peer_dead re-arms only a
+  /// task whose current home is dead, and FaultState::node_dead is
+  /// sticky, so a task whose owner-computes rank is alive was never
+  /// re-homed: its home is rank_of.  NodeRuntime::owner_rank skips the
+  /// table lookup on that ground.
   int rearm(const TaskKey& t, const std::vector<int>& survivors) {
     Rec& r = rec(t);
     if (r.phase == TaskPhase::Done) --done_;
@@ -86,13 +92,6 @@ class LineageTracker {
 
   /// Number of distinct tasks currently Done.
   std::uint64_t done_count() const { return done_; }
-
-  /// Tasks whose phase is Pending (known records only; never-touched tasks
-  /// are implicitly Pending and enumerated by the coordinator's graph walk).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [key, r] : recs_) fn(key, r.phase, r.epoch, r.home);
-  }
 
  private:
   struct Rec {

@@ -157,9 +157,13 @@ class NodeRuntime {
                      const PathSums& prod, bool remote, des::Time release_g);
 
   /// Effective owner rank: the lineage home under fault tolerance, the
-  /// owner-computes rank otherwise.
+  /// owner-computes rank otherwise.  Only a task whose owner-computes rank
+  /// is dead can have been re-homed (see LineageTracker::rearm), so the
+  /// lineage table is read only then.
   int owner_rank(const TaskKey& t) const {
-    return ft_ != nullptr ? ft_->lineage.home(t) : def_.rank_of(t);
+    const int r = def_.rank_of(t);
+    if (ft_ == nullptr || ft_->alive(r)) return r;
+    return ft_->lineage.home(t);
   }
 
   // --- communication ----------------------------------------------------

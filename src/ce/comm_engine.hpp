@@ -172,7 +172,8 @@ struct CeStats {
   std::uint64_t eager_puts = 0;        ///< LCI: puts carried in handshakes
   std::uint64_t peer_failed_sends = 0; ///< sends released by peer_failed()
   std::uint64_t peer_failed_recvs = 0; ///< recvs dropped by peer_failed()
-  std::uint64_t malformed_msgs = 0;    ///< frames that failed to decode,
+  std::uint64_t malformed_msgs = 0;    ///< frames that failed to decode
+                                       ///< or named an unregistered tag,
                                        ///< dropped unread (per backend)
 };
 

@@ -413,7 +413,12 @@ void LciBackend::dispatch_data_handle(DataHandle&& h) {
       h_put_remote_->add(static_cast<double>(eng_.now() - h.started));
     }
     const auto it = tags_.find(h.r_tag);
-    assert(it != tags_.end() && "put r_tag not registered");
+    if (it == tags_.end()) {
+      // r_tag came off the wire in the handshake: with no callback
+      // registered for it the put completes unannounced, counted.
+      ++stats_.malformed_msgs;
+      return;
+    }
     std::optional<des::ChargeSpan> span;
     if (eng_.trace_sink() != nullptr) span.emplace(eng_, "put.r_cb");
     des::emit_flow(eng_, "put", h.flow_id, /*begin=*/false);
@@ -505,7 +510,13 @@ int LciBackend::progress() {
       am_fifo_.pop_front();
       des::charge_current(cfg_.dispatch_cost);
       const auto it = tags_.find(h.tag);
-      assert(it != tags_.end() && "AM for unregistered tag");
+      if (it == tags_.end()) {
+        // The tag came off the wire: an AM no callback is registered for
+        // is dropped, counted.
+        ++stats_.malformed_msgs;
+        ++processed;
+        continue;
+      }
       ++stats_.ams_delivered;
       if (h_am_queue_ != nullptr) {
         h_am_queue_->add(static_cast<double>(eng_.now() - h.arrived));

@@ -37,9 +37,19 @@
 
 namespace ce {
 
-/// CRC-32C (Castagnoli), bitwise-reflected, software table.  `seed` chains
-/// multi-buffer checksums (pass a previous result).
+/// CRC-32C (Castagnoli), bitwise-reflected.  `seed` chains multi-buffer
+/// checksums (pass a previous result).  On x86-64 CPUs with SSE4.2 it runs
+/// the hardware crc32 instruction eight bytes at a time (checked once per
+/// process); elsewhere it is detail::crc32c_table.  Both give identical
+/// values.
 std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+namespace detail {
+/// The bytewise software-table CRC-32C: crc32c's path on CPUs without
+/// SSE4.2, and the reference the tests compare the hardware path against.
+std::uint32_t crc32c_table(const void* data, std::size_t n,
+                           std::uint32_t seed = 0);
+}  // namespace detail
 
 /// The checksum the reliability sublayer stores in WireHeader::rel_crc:
 /// CRC-32C over every load-bearing header field plus the payload bytes.
@@ -224,7 +234,14 @@ class ReliableDomain {
   ReliableConfig cfg_;
   ReliableStats stats_;
   obs::Recorder* rec_ = nullptr;
-  obs::Counter* c_data_ = nullptr;  ///< ce.rel.data, one per tracked send
+  // Per-frame metric handles, resolved once by set_recorder (null when
+  // detached); rare paths (timeouts, NACKs, peer death) look up by name.
+  obs::Counter* c_data_ = nullptr;         ///< ce.rel.data
+  obs::Counter* c_acks_ = nullptr;         ///< ce.rel.acks
+  obs::Counter* c_dups_ = nullptr;         ///< ce.rel.dups
+  obs::Counter* c_retransmits_ = nullptr;  ///< ce.rel.retransmits
+  obs::Histogram* h_ack_ = nullptr;        ///< ce.rel.ack_ns
+  obs::Histogram* h_retransmit_latency_ = nullptr;
   DeliveryErrorCallback on_error_;
   SuspicionHook on_suspect_;
   std::vector<std::unique_ptr<ReliableChannel>> channels_;

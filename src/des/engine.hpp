@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cassert>
-#include <functional>
 #include <utility>
 
 #include "des/event_queue.hpp"
@@ -159,8 +158,10 @@ class Engine {
   }
 
   /// Runs until `done` returns true (checked after each event) or the queue
-  /// drains.  Returns whether `done` was satisfied.
-  bool run_while_pending(const std::function<bool()>& done) {
+  /// drains.  Returns whether `done` was satisfied.  The predicate is a
+  /// template parameter so the per-event check is a direct call.
+  template <typename Done>
+  bool run_while_pending(Done&& done) {
     while (!done()) {
       if (!step()) return false;
     }

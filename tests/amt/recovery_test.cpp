@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "amt/lineage.hpp"
@@ -218,6 +219,84 @@ TEST_P(RecoveryBackends, ChainLosesEveryThirdNodeAndStillCounts) {
   EXPECT_EQ(rt.run_status(), RunStatus::Ok);
   EXPECT_EQ(rt.fault_state()->lineage.done_count(), 30u);
   EXPECT_EQ(graph.final_value(), 29);
+}
+
+// NodeRuntime::owner_rank reads the lineage table only when a task's
+// owner-computes rank is dead.  That is exact only if recovery never
+// re-homes a task whose owner-computes rank is alive: walk the whole graph
+// from its initial tasks and check it.  Returns how many tasks were
+// re-homed, so callers can tell the run exercised recovery at all.
+std::uint64_t expect_alive_owners_keep_their_tasks(
+    const amt::TaskGraphDef& def, const FaultState& ft, int nodes) {
+  std::vector<TaskKey> stack;
+  for (int r = 0; r < nodes; ++r) def.initial_tasks(r, stack);
+  std::unordered_set<TaskKey, amt::TaskKeyHash> seen(stack.begin(),
+                                                     stack.end());
+  std::vector<amt::Dep> deps;
+  std::uint64_t rehomed = 0;
+  while (!stack.empty()) {
+    const TaskKey t = stack.back();
+    stack.pop_back();
+    const int owner = def.rank_of(t);
+    const int home = ft.lineage.home(t);
+    if (ft.alive(owner)) {
+      EXPECT_EQ(home, owner) << "task (" << t.cls << "," << t.i << ","
+                             << t.j << "," << t.k << ")";
+    } else if (home != owner) {
+      ++rehomed;
+    }
+    for (int f = 0; f < def.num_outputs(t); ++f) {
+      deps.clear();
+      def.successors(t, f, deps);
+      for (const amt::Dep& d : deps) {
+        if (seen.insert(d.task).second) stack.push_back(d.task);
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), def.total_tasks());
+  return rehomed;
+}
+
+TEST_P(RecoveryBackends, OnlyTasksOfDeadOwnersAreRehomed) {
+  std::uint64_t rehomed = 0;
+  des::Duration clean = 0;
+  {
+    CrashWorld w(4, GetParam(), {});
+    WavefrontGraph graph(8, 4);
+    Runtime rt(w.eng, w.fab, w.comm, graph, tolerant_cfg());
+    clean = rt.run();
+  }
+  for (const int eighth : {1, 2, 3, 4, 5}) {
+    SCOPED_TRACE(::testing::Message() << "crash at " << eighth << "/8");
+    net::FaultConfig faults;
+    faults.crashes.push_back(net::CrashEvent{1, clean * eighth / 8, 0});
+    CrashWorld w(4, GetParam(), faults);
+    WavefrontGraph graph(8, 4);
+    Runtime rt(w.eng, w.fab, w.comm, graph, tolerant_cfg());
+    rt.run();
+    ASSERT_EQ(rt.run_status(), RunStatus::Ok);
+    rehomed += expect_alive_owners_keep_their_tasks(graph, *rt.fault_state(),
+                                                    4);
+  }
+  {
+    SCOPED_TRACE("chain losing its middle node");
+    {
+      CrashWorld w(3, GetParam(), {});
+      ChainGraph graph(30, 3);
+      Runtime rt(w.eng, w.fab, w.comm, graph, tolerant_cfg());
+      clean = rt.run();
+    }
+    net::FaultConfig faults;
+    faults.crashes.push_back(net::CrashEvent{1, clean / 3, 0});
+    CrashWorld w(3, GetParam(), faults);
+    ChainGraph graph(30, 3);
+    Runtime rt(w.eng, w.fab, w.comm, graph, tolerant_cfg());
+    rt.run();
+    ASSERT_EQ(rt.run_status(), RunStatus::Ok);
+    rehomed += expect_alive_owners_keep_their_tasks(graph, *rt.fault_state(),
+                                                    3);
+  }
+  EXPECT_GT(rehomed, 0u);  // recovery did move work off the corpses
 }
 
 TEST_P(RecoveryBackends, AllPeersDeadFailsClosed) {

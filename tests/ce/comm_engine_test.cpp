@@ -651,6 +651,38 @@ TEST(CeLciBackend, WorksWithoutProgressThread) {
   EXPECT_EQ(delivered, 10);
 }
 
+// The AM tag and a put's r_tag come off the wire: a tag the target never
+// registered drops the frame and counts it, as the MPI backend does.
+TEST(CeLciBackend, AmForAnUnregisteredTagIsDroppedAndCounted) {
+  CeWorld w(2, BackendKind::Lci);
+  w.engine(0).tag_reg(kActivate, [](auto&&...) {}, nullptr, 64);
+  // Node 1 never registers kActivate.
+  EXPECT_EQ(w.engine(0).send_am(kActivate, 1, "x", 1), ce::Status::Ok);
+  w.run();
+  EXPECT_EQ(w.engine(1).stats().ams_delivered, 0u);
+  EXPECT_EQ(w.engine(1).stats().malformed_msgs, 1u);
+  EXPECT_TRUE(w.world.all_idle());
+}
+
+TEST(CeLciBackend, PutNamingAnUnregisteredTagCompletesUnannounced) {
+  CeWorld w(2, BackendKind::Lci);
+  w.engine(0).tag_reg(kPutDone, [](auto&&...) {}, nullptr, 64);
+  // Node 1 never registers kPutDone, the tag the handshake names.
+  bool local_done = false;
+  const MemReg lreg{0, nullptr, 4096};
+  const MemReg rreg{1, nullptr, 4096};
+  w.engine(0).put(
+      lreg, 0, rreg, 0, 4096, 1,
+      [&](CommEngine&, const MemReg&, std::ptrdiff_t, const MemReg&,
+          std::ptrdiff_t, std::size_t, int, void*) { local_done = true; },
+      nullptr, kPutDone, "d", 1);
+  w.run();
+  EXPECT_TRUE(local_done);
+  EXPECT_EQ(w.engine(1).stats().puts_completed_remote, 1u);
+  EXPECT_EQ(w.engine(1).stats().malformed_msgs, 1u);
+  EXPECT_TRUE(w.world.all_idle());
+}
+
 TEST(CeLciBackend, ProgressThreadReducesAmLatencyUnderCallbackLoad) {
   // §4.3/§5.2: while the communication thread executes a long callback, a
   // backend whose progress is coupled to that thread cannot match incoming
