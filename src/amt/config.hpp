@@ -31,9 +31,9 @@ struct FaultToleranceConfig {
   des::Duration stall_timeout = 2 * des::kSecond;
 };
 
-/// Terminal outcome of a tolerant run.  The default (non-tolerant) path
-/// still asserts on incomplete execution; the tolerant path never aborts —
-/// it reports one of these and returns.
+/// Terminal outcome of a run, tolerant or not: no run aborts on an
+/// incomplete graph.  Without tolerance only ErrDeadlock is reachable (the
+/// queue drained before every task ran, e.g. after input was dropped).
 enum class RunStatus : int {
   Ok = 0,
   ErrNoSurvivors,       ///< every node crashed; nothing left to run on
@@ -52,6 +52,14 @@ inline const char* run_status_name(RunStatus s) {
   }
   return "unknown";
 }
+
+/// Every run's status.  The first error wins: a later failure does not
+/// overwrite the cause of a run that already failed closed.
+struct RunState {
+  RunStatus status = RunStatus::Ok;
+  bool ok() const { return status == RunStatus::Ok; }
+  void fail(RunStatus s) { if (ok()) status = s; }
+};
 
 struct RuntimeConfig {
   /// Worker threads per node.  The paper's setup (§6.1.2): 128 cores,
@@ -248,20 +256,16 @@ struct NodeStats {
   std::uint64_t getdata_deferred = 0;      ///< waited in the fetch queue
   std::uint64_t data_arrivals = 0;
   std::uint64_t forwards = 0;              ///< multicast-tree forwards
-  // Fault-tolerance counters (all zero on fault-free runs).
+  // Recovery and dropped-input counters (zero on fault-free runs).
   std::uint64_t tasks_reexecuted = 0;      ///< lineage re-arms applied here
   std::uint64_t dup_completions_suppressed = 0;
   std::uint64_t dup_inputs_dropped = 0;    ///< re-delivered inputs ignored
-  std::uint64_t stale_activations = 0;     ///< duplicate/stale records dropped
+  std::uint64_t stale_activations = 0;     ///< stale/unknown-flow input
   std::uint64_t fetches_abandoned = 0;     ///< pending fetches on a dead peer
   std::uint64_t reannounces = 0;           ///< flows re-served from the cache
   std::uint64_t malformed_msgs = 0;        ///< control messages that failed
                                            ///< to decode, dropped unread
   LatencyStats latency;
-  /// Phase breakdown of the end-to-end path: activate-processed -> GET
-  /// DATA sent (fetch_wait), and GET DATA sent -> data arrival (transfer).
-  obs::Histogram fetch_wait;
-  obs::Histogram transfer;
   /// Full lifecycle-stage decomposition (tentpole of the tracing layer).
   StageLats stages;
   /// Longest weighted dependency chain ending on this node.

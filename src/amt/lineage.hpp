@@ -107,8 +107,9 @@ class LineageTracker {
 };
 
 /// Shared fault state: owned by the Runtime, consulted by every
-/// NodeRuntime through a raw pointer (null when tolerance is off, so the
-/// fault-free hot path never even branches on configuration).
+/// NodeRuntime through a raw pointer (null when tolerance is off).  It
+/// holds what recovery needs and nothing else; the run's status lives in
+/// RunState, which every run has.
 struct FaultState {
   explicit FaultState(const TaskGraphDef& def, FaultToleranceConfig c)
       : cfg(c), lineage(def) {}
@@ -116,7 +117,6 @@ struct FaultState {
   FaultToleranceConfig cfg;
   LineageTracker lineage;
   std::vector<char> node_dead;  ///< AMT-confirmed dead (sticky)
-  RunStatus status = RunStatus::Ok;
 
   bool alive(int rank) const {
     return node_dead.empty() ||
@@ -128,9 +128,6 @@ struct FaultState {
       if (node_dead[r] == 0) s.push_back(static_cast<int>(r));
     }
     return s;  // ascending by construction
-  }
-  void fail(RunStatus s) {
-    if (status == RunStatus::Ok) status = s;
   }
 };
 

@@ -13,9 +13,10 @@ namespace amt {
 NodeRuntime::NodeRuntime(des::Engine& engine, net::Fabric& fabric, int rank,
                          ce::CommEngine& comm, TaskGraphDef& def,
                          const RuntimeConfig& cfg,
-                         const net::GlobalClock& clock, FaultState* ft)
+                         const net::GlobalClock& clock, RunState& run,
+                         FaultState* ft)
     : eng_(engine), fabric_(fabric), rank_(rank), comm_(comm), def_(def),
-      cfg_(cfg), clock_(clock), ft_(ft) {}
+      cfg_(cfg), clock_(clock), run_(run), ft_(ft) {}
 
 NodeRuntime::~NodeRuntime() {
   if (comm_loop_) comm_loop_->stop();
@@ -205,8 +206,7 @@ void NodeRuntime::deliver_local(const Dep& dep, const DataCopyPtr& copy,
   }
   auto& slot = st.inputs.at(static_cast<std::size_t>(dep.input));
   if (slot != nullptr) {
-    assert(ft_ != nullptr && "input delivered twice");
-    ++stats_.dup_inputs_dropped;
+    ++stats_.dup_inputs_dropped;  // input delivered twice
     return;
   }
   slot = copy;
@@ -299,9 +299,8 @@ void NodeRuntime::publish_remote(const FlowKey& flow, const DataCopyPtr& copy,
     out.copy = copy;
     out.expected_gets = children;
   } else {
-    // Re-publication (recovery re-announce): serve the extra children
-    // from the existing entry.
-    assert(ft_ != nullptr && "flow published twice");
+    // Re-publication (recovery re-announce, or a duplicated record):
+    // serve the extra children from the existing entry.
     out.expected_gets += children;
   }
   if (ft_ != nullptr) {
@@ -408,6 +407,13 @@ void NodeRuntime::on_activate(const void* msg, std::size_t size, int src) {
   auto records = wire::unpack_activate(msg, size);
   if (!records) return drop_malformed();
   for (auto& rec : *records) {
+    // A damaged record can still decode: the ranks it sends to must exist.
+    if (!valid_rank(rec.src_rank) ||
+        !std::all_of(rec.subtree.begin(), rec.subtree.end(),
+                     [this](std::int32_t r) { return valid_rank(r); })) {
+      drop_malformed();
+      continue;
+    }
     // One sub-span per aggregated record: this is the per-record work that
     // makes the ACTIVATE callback block progress on the MPI backend (§4.3).
     std::optional<des::ChargeSpan> span;
@@ -464,17 +470,15 @@ void NodeRuntime::on_activate(const void* msg, std::size_t size, int src) {
     }
 
     const FlowKey flow = pf.record.flow;
-    if (ft_ != nullptr && (pending_.count(flow) != 0 ||
-                           (pf.local_deps.empty() &&
-                            pf.record.subtree.empty()))) {
-      // Duplicate of an in-flight fetch, or a record whose consumers all
-      // completed meanwhile — both arise only from recovery re-announces.
+    if (pending_.count(flow) != 0 ||
+        (pf.local_deps.empty() && pf.record.subtree.empty())) {
+      // Duplicate of an in-flight fetch, or a record with nobody to
+      // deliver to here: a recovery re-announce whose consumers completed
+      // meanwhile, or a duplicated or damaged record.
       ++stats_.stale_activations;
       continue;
     }
-    const auto [it, created] = pending_.emplace(flow, std::move(pf));
-    assert(created && "duplicate activation for flow");
-    (void)it;
+    pending_.emplace(flow, std::move(pf));
     fetch_queue_.push(FetchOrder{prio, fetch_seq_++, flow});
     if (inflight_fetches_ >= cfg_.max_inflight_fetches) {
       ++stats_.getdata_deferred;
@@ -490,12 +494,10 @@ bool NodeRuntime::issue_fetches() {
     const FetchOrder fo = fetch_queue_.top();
     fetch_queue_.pop();
     auto it = pending_.find(fo.flow);
-    if (ft_ != nullptr && (it == pending_.end() || it->second.requested)) {
+    if (it == pending_.end() || it->second.requested) {
       continue;  // entry purged (dead server) or superseded; skip
     }
-    assert(it != pending_.end());
     PendingFetch& pf = it->second;
-    assert(!pf.requested);
     pf.requested = true;
     pf.buffer = pf.record.real != 0
                     ? DataCopy::real(static_cast<std::size_t>(pf.record.size))
@@ -536,21 +538,18 @@ void NodeRuntime::on_getdata(const void* msg, std::size_t size, int src) {
   DataCopyPtr serving;
   if (it != outgoing_.end()) {
     serving = it->second.copy;
-  } else if (ft_ != nullptr) {
-    // Retired (or never-published-here) flow requested during recovery:
-    // serve it from the produced-data cache, outside the expected-gets
-    // bookkeeping.  A miss here means the tile is gone everywhere the
-    // requester could reach — fail closed, never abort.
+  } else {
+    // Retired or unknown flow: re-serve it from the produced-data cache
+    // (filled only under tolerance, outside the expected-gets bookkeeping)
+    // or drop it.  A tolerant miss means the tile is lost: fail closed.
     const auto cit = produced_cache_.find(g.flow);
     if (cit == produced_cache_.end()) {
-      ft_->fail(RunStatus::ErrTileLost);
+      ++stats_.stale_activations;
+      if (ft_ != nullptr) run_.fail(RunStatus::ErrTileLost);
       return;
     }
     serving = cit->second.copy;
     tracked = false;
-  } else {
-    assert(false && "GET DATA for unknown flow");
-    return;
   }
 
   ce::MemReg lreg{rank_,
@@ -577,10 +576,7 @@ void NodeRuntime::on_getdata(const void* msg, std::size_t size, int src) {
                                        void*) {
         if (!tracked) return;
         auto oit = outgoing_.find(flow);
-        if (oit == outgoing_.end()) {
-          assert(ft_ != nullptr && "put completion for retired flow");
-          return;
-        }
+        if (oit == outgoing_.end()) return;  // retired meanwhile
         if (++oit->second.gets_served == oit->second.expected_gets) {
           outgoing_.erase(oit);
         }
@@ -599,11 +595,11 @@ void NodeRuntime::on_data_arrived(const void* msg, std::size_t size,
   des::emit_flow(eng_, "data", d.trace.span_id, /*begin=*/false);
   des::charge_current(cfg_.data_release_cost);
   auto it = pending_.find(d.flow);
-  if (it == pending_.end()) {
-    // Possible under recovery: the entry was purged (its server died and a
-    // re-announce re-created the fetch elsewhere) or the same flow arrived
-    // twice via a redundant re-announce.  Drop tolerantly.
-    assert(ft_ != nullptr && "data arrived for unknown flow");
+  if (it == pending_.end() || !it->second.requested) {
+    // The entry was purged (its server died and a re-announce re-created
+    // the fetch elsewhere), the same flow arrived twice via a redundant
+    // re-announce, or the message was damaged: no GET DATA of ours is
+    // waiting for it.  Drop it.
     ++stats_.stale_activations;
     return;
   }
@@ -623,9 +619,6 @@ void NodeRuntime::on_data_arrived(const void* msg, std::size_t size,
   const des::Time root_send_g = clock_.to_global(root, pf.record.root_ts);
   stats_.latency.add(static_cast<double>(now_g - hop_send_g),
                      static_cast<double>(now_g - root_send_g));
-  stats_.fetch_wait.add(
-      static_cast<double>(pf.requested_ts - pf.activated_ts));
-  stats_.transfer.add(static_cast<double>(end_l - pf.requested_ts));
   record_stages(pf.record, clock_.to_global(rank_, pf.reached_ts),
                 clock_.to_global(rank_, pf.activated_ts),
                 clock_.to_global(rank_, pf.requested_ts),
@@ -738,7 +731,7 @@ void NodeRuntime::inject_source(const TaskKey& key) {
 }
 
 bool NodeRuntime::reannounce(const FlowKey& flow, int dst) {
-  if (ft_ == nullptr || dead_) return false;
+  if (dead_) return false;
   const auto cit = produced_cache_.find(flow);
   if (cit == produced_cache_.end()) return false;
   const ProducedData& pd = cit->second;

@@ -42,13 +42,12 @@ namespace amt {
 
 class NodeRuntime {
  public:
-  /// `ft` is the runtime-wide fault state; null disables fault tolerance
-  /// entirely (the fault-free hot path is then byte-identical to the
-  /// pre-recovery runtime).
+  /// `run` is the status this node fails closed into.  `ft` is the shared
+  /// fault state; null disables lineage and the produced-data cache.
   NodeRuntime(des::Engine& engine, net::Fabric& fabric, int rank,
               ce::CommEngine& comm, TaskGraphDef& def,
               const RuntimeConfig& cfg, const net::GlobalClock& clock,
-              FaultState* ft = nullptr);
+              RunState& run, FaultState* ft = nullptr);
   ~NodeRuntime();
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
@@ -197,8 +196,9 @@ class NodeRuntime {
   void record_stages(const wire::ActivationRecord& rec, des::Time reached_g,
                      des::Time activated_g, des::Time requested_g,
                      des::Time put_g, des::Time end_g);
-  /// A control message that failed to decode is dropped unread.
+  /// Undecodable messages and records naming no rank are dropped unread.
   void drop_malformed() { ++stats_.malformed_msgs; }
+  bool valid_rank(std::int32_t r) const { return r >= 0 && r < comm_.size(); }
 
   des::Engine& eng_;
   net::Fabric& fabric_;
@@ -207,6 +207,7 @@ class NodeRuntime {
   TaskGraphDef& def_;
   const RuntimeConfig& cfg_;
   const net::GlobalClock& clock_;
+  RunState& run_;
   NodeStats stats_;
 
   // Scheduler state.
@@ -233,7 +234,7 @@ class NodeRuntime {
   std::vector<Dep> deps_scratch_;
 
   // --- fault tolerance ---------------------------------------------------
-  FaultState* ft_ = nullptr;  ///< null = tolerance off (exact legacy paths)
+  FaultState* ft_ = nullptr;  ///< null = tolerance off (no lineage, no cache)
   bool dead_ = false;         ///< this node fail-stopped
   /// Every flow this node has published or produced, kept so lost data
   /// can be re-served (GET DATA after retirement, recovery re-announce).

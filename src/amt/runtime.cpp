@@ -24,17 +24,16 @@ Runtime::Runtime(des::Engine& engine, net::Fabric& fabric,
   nodes_.reserve(static_cast<std::size_t>(fabric.num_nodes()));
   for (int r = 0; r < fabric.num_nodes(); ++r) {
     nodes_.push_back(std::make_unique<NodeRuntime>(
-        engine, fabric, r, comm.engine(r), def, cfg_, clock_, ft_.get()));
+        engine, fabric, r, comm.engine(r), def, cfg_, clock_, state_,
+        ft_.get()));
   }
   if (ft_ != nullptr) {
     // Detection source: failure-detector verdicts when the comm world has
     // one (realistic detection latency), ground-truth fabric crash
     // notifications otherwise (zero-latency recovery, for unit tests).
-    ce::FailureDetectorDomain* const fd = comm.failure_detector();
-    detector_ = fd;
-    fd_recovery_ = fd != nullptr;
-    if (fd != nullptr) {
-      fd->subscribe([this](int /*node*/, int peer, ce::PeerState st) {
+    detector_ = comm.failure_detector();
+    if (detector_ != nullptr) {
+      detector_->subscribe([this](int /*node*/, int peer, ce::PeerState st) {
         if (st == ce::PeerState::Dead) on_peer_dead(peer);
       });
     }
@@ -45,7 +44,7 @@ Runtime::Runtime(des::Engine& engine, net::Fabric& fabric,
     fabric.add_crash_handler([this, &comm](net::NodeId n, bool up) {
       if (up) return;
       nodes_[static_cast<std::size_t>(n)]->mark_crashed();
-      if (!fd_recovery_) {
+      if (detector_ == nullptr) {
         // Ground-truth recovery: purge the comm level first (the detector
         // path does this via its Dead-verdict subscriber), then re-home.
         comm.peer_failed(static_cast<int>(n));
@@ -58,71 +57,56 @@ Runtime::Runtime(des::Engine& engine, net::Fabric& fabric,
 des::Duration Runtime::run() {
   const des::Time start = eng_.now();
   for (auto& n : nodes_) n->start();
-  if (ft_ != nullptr) return run_tolerant(start);
-  eng_.run();
-  const std::uint64_t executed = total_tasks_executed();
-  assert(executed == def_.total_tasks() &&
-         "runtime quiesced before completing all tasks (deadlock?)");
-  (void)executed;
-  // The engine quiesces at the last event, but the final tasks' charged
-  // compute still has to elapse on their workers; without it the makespan
-  // would end before the critical path's last task finishes.
-  des::Time end = eng_.now();
-  for (const auto& n : nodes_) end = std::max(end, n->threads_free_at());
-  return end - start;
-}
-
-des::Duration Runtime::run_tolerant(des::Time start) {
-  const std::uint64_t total = def_.total_tasks();
-  const LineageTracker& lin = ft_->lineage;
-  // Failure-detector heartbeat timers keep the event queue non-empty
-  // forever, so the engine cannot quiesce on its own: run until every
-  // distinct task is Done (re-executions un-count, so the predicate is
-  // exact), the run failed closed, or nothing completes for longer than
-  // the stall timeout (a lost-task deadlock the coordinator missed).
-  des::Time last_progress = eng_.now();
-  std::uint64_t last_done = lin.done_count();
-  const auto done = [&]() {
-    if (ft_->status != RunStatus::Ok) return true;
-    const std::uint64_t d = lin.done_count();
-    if (d >= total) return true;
-    if (d != last_done) {
-      last_done = d;
-      last_progress = eng_.now();
-    } else if (eng_.now() - last_progress > ft_->cfg.stall_timeout) {
-      ft_->fail(RunStatus::ErrDeadlock);
-      return true;
-    }
-    return false;
-  };
-  if (!eng_.run_while_pending(done) && lin.done_count() < total &&
-      ft_->status == RunStatus::Ok) {
-    // Queue drained with work remaining: structural deadlock.
-    ft_->fail(RunStatus::ErrDeadlock);
+  // Heartbeat timers keep a tolerant run's queue non-empty forever: step
+  // it one event at a time until every task is Done, the run failed
+  // closed, or nothing completes for a stall timeout (a lost-task deadlock
+  // the coordinator missed).  Any other run just drains.
+  if (ft_ != nullptr) {
+    const LineageTracker& lin = ft_->lineage;
+    des::Time last_progress = eng_.now();
+    std::uint64_t last_done = lin.done_count();
+    eng_.run_while_pending([&]() {
+      if (!state_.ok() || all_done()) return true;
+      if (lin.done_count() != last_done) {
+        last_done = lin.done_count();
+        last_progress = eng_.now();
+      } else if (eng_.now() - last_progress > ft_->cfg.stall_timeout) {
+        state_.fail(RunStatus::ErrDeadlock);
+        return true;
+      }
+      return false;
+    });
   }
-  if (ft_->status == RunStatus::Ok) {
-    // Completion: stop the detector's periodic heartbeats so the
-    // remaining in-flight events (data retirements, ACKs) can drain.
-    // Draining keeps the quiescence point — and therefore the makespan —
-    // identical to the non-tolerant runtime on crash-free runs.
+  if (state_.ok()) {
+    // Drain what is in flight (data retirements, ACKs) with the heartbeats
+    // stopped: a crash-free tolerant run quiesces where any other does.
+    // Work left then is a deadlock, or input dropped as stale or damaged.
     if (detector_ != nullptr) detector_->stop();
     eng_.run();
+    if (!all_done()) state_.fail(RunStatus::ErrDeadlock);
   }
-  if (ft_->status != RunStatus::Ok) {
+  if (!state_.ok()) {
     // Failed closed: stamp the terminal status into the cluster ring so a
     // post-mortem bundle ends with the verdict.
     obs::FlightRecorder::global().record(
         -1, obs::FlightKind::RunStatus, eng_.now(), 0,
-        static_cast<std::uint64_t>(ft_->status));
+        static_cast<std::uint64_t>(state_.status));
   }
-  // Makespan over surviving nodes only — a corpse's charged horizon is
-  // not part of the completed schedule.
+  // The final tasks' charged compute elapses past the last event, so the
+  // makespan runs to the latest thread horizon among surviving nodes.
   des::Time end = eng_.now();
   for (const auto& n : nodes_) {
-    if (!ft_->alive(n->rank())) continue;
+    if (ft_ != nullptr && !ft_->alive(n->rank())) continue;
     end = std::max(end, n->threads_free_at());
   }
   return end - start;
+}
+
+bool Runtime::all_done() const {
+  // Lineage counts distinct Done tasks; without it every execution counts.
+  const std::uint64_t done =
+      ft_ != nullptr ? ft_->lineage.done_count() : total_tasks_executed();
+  return done == def_.total_tasks();
 }
 
 void Runtime::build_graph_index() {
@@ -159,7 +143,7 @@ void Runtime::build_graph_index() {
 
 void Runtime::on_peer_dead(int dead_rank) {
   if (ft_ == nullptr) return;
-  if (ft_->status != RunStatus::Ok) return;  // already failed closed
+  if (!state_.ok()) return;  // already failed closed
   char& flag = ft_->node_dead[static_cast<std::size_t>(dead_rank)];
   if (flag != 0) return;  // detector verdicts repeat per observer
   flag = 1;
@@ -173,7 +157,7 @@ void Runtime::on_peer_dead(int dead_rank) {
   }
   const std::vector<int> survivors = ft_->survivors();
   if (survivors.empty()) {
-    ft_->fail(RunStatus::ErrNoSurvivors);
+    state_.fail(RunStatus::ErrNoSurvivors);
     return;
   }
   if (!graph_indexed_) build_graph_index();
@@ -191,7 +175,7 @@ void Runtime::on_peer_dead(int dead_rank) {
     const TaskPhase was = lin.phase(t);
     const int epoch = lin.rearm(t, survivors);
     if (epoch > ft_->cfg.max_epochs) {
-      ft_->fail(RunStatus::ErrLineageExhausted);
+      state_.fail(RunStatus::ErrLineageExhausted);
       return false;
     }
     if (was != TaskPhase::Pending) {
@@ -220,7 +204,7 @@ void Runtime::on_peer_dead(int dead_rank) {
   for (const TaskKey& t : all_tasks_) {
     if (lin.phase(t) == TaskPhase::Pending) work.push_back(t);
   }
-  while (!work.empty() && ft_->status == RunStatus::Ok) {
+  while (!work.empty() && state_.ok()) {
     const TaskKey t = work.back();
     work.pop_back();
     if (lin.phase(t) != TaskPhase::Pending) continue;
@@ -240,7 +224,7 @@ void Runtime::on_peer_dead(int dead_rank) {
         if (!nodes_[static_cast<std::size_t>(p_home)]->reannounce(
                 flow, home.rank())) {
           // Done producer, alive home, no cached copy: the tile is gone.
-          ft_->fail(RunStatus::ErrTileLost);
+          state_.fail(RunStatus::ErrTileLost);
           return;
         }
       } else if (!rearm(p)) {
@@ -269,8 +253,6 @@ NodeStats Runtime::aggregate_stats() const {
     total.reannounces += s.reannounces;
     total.malformed_msgs += s.malformed_msgs;
     total.latency.merge(s.latency);
-    total.fetch_wait.merge(s.fetch_wait);
-    total.transfer.merge(s.transfer);
     total.stages.merge(s.stages);
     total.crit.merge(s.crit);
   }

@@ -5,10 +5,10 @@
 // also acts as the recovery coordinator: it owns the shared FaultState,
 // listens for confirmed peer deaths (failure-detector verdicts when a
 // detector is wired, ground-truth fabric crash notifications otherwise),
-// and re-homes the dead node's unfinished lineage onto survivors.  When
-// tolerance is off the hot path is byte-identical to the pre-recovery
-// runtime (no FaultState is ever allocated; NodeRuntimes see a null
-// pointer and take the exact legacy branches).
+// and re-homes the dead node's unfinished lineage onto survivors.  That
+// adds lineage and a produced-data cache, nothing else: stale, duplicated
+// or damaged protocol input is dropped and counted either way, and every
+// run ends in a RunStatus instead of aborting.
 #pragma once
 
 #include <cassert>
@@ -39,9 +39,9 @@ class Runtime {
           net::GlobalClock clock = {});
 
   /// Executes the task graph to completion.  Returns the makespan
-  /// (simulated time from call to global quiescence).  Under fault
-  /// tolerance the run may instead end with run_status() != Ok — an
-  /// unrecoverable loss fails closed, it never aborts.
+  /// (simulated time from call to global quiescence).  The run may instead
+  /// end with run_status() != Ok: an unrecoverable loss or a graph left
+  /// incomplete fails closed, it never aborts.
   des::Duration run();
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
@@ -50,10 +50,8 @@ class Runtime {
   }
 
   /// Ok on fault-free or fully recovered runs; an error status when the
-  /// graph could not be completed.  Always Ok with tolerance disabled.
-  RunStatus run_status() const {
-    return ft_ != nullptr ? ft_->status : RunStatus::Ok;
-  }
+  /// graph could not be completed, with tolerance on or off.
+  RunStatus run_status() const { return state_.status; }
   /// The shared fault state (null when tolerance is off).
   const FaultState* fault_state() const { return ft_.get(); }
 
@@ -80,7 +78,7 @@ class Runtime {
   /// ever built on the first confirmed death — fault-free runs never pay
   /// for it.
   void build_graph_index();
-  des::Duration run_tolerant(des::Time start);
+  bool all_done() const;  ///< every task ran (the one completion check)
 
   des::Engine& eng_;
   TaskGraphDef& def_;
@@ -88,11 +86,12 @@ class Runtime {
   net::GlobalClock clock_;
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
   obs::Timeline* timeline_ = nullptr;
+  RunState state_;
 
   // --- fault tolerance ---------------------------------------------------
   std::unique_ptr<FaultState> ft_;  ///< null = tolerance off
-  ce::FailureDetectorDomain* detector_ = nullptr;  ///< may be null
-  bool fd_recovery_ = false;  ///< verdicts come from the failure detector
+  /// Verdict source; null = ground-truth fabric crash notifications.
+  ce::FailureDetectorDomain* detector_ = nullptr;
   bool graph_indexed_ = false;
   std::vector<TaskKey> all_tasks_;
   /// task -> [(input index, producing flow)] for every input edge.

@@ -31,11 +31,12 @@ LciBackend::LciBackend(mlci::Device& device, des::Engine& engine,
     // Progress-thread context: remote completion of a native put (§7
     // future work).  The immediate data is a PutHandshake header plus
     // the remote-callback bytes.
-    assert(req.payload != nullptr);
     const auto parsed =
-        HandshakeView::parse(req.payload->data(), req.payload->size());
+        req.payload != nullptr
+            ? HandshakeView::parse(req.payload->data(), req.payload->size())
+            : std::nullopt;
     if (!parsed) {
-      ++stats_.malformed_msgs;
+      ++malformed_;
       return;
     }
     const HandshakeView& v = *parsed;
@@ -99,6 +100,11 @@ void LciBackend::set_recorder(obs::Recorder* rec) {
   h_put_remote_ = rec ? &rec->histogram("ce.put_remote_ns") : nullptr;
   h_am_queue_ = rec ? &rec->histogram("ce.am_queue_ns") : nullptr;
   h_data_queue_ = rec ? &rec->histogram("ce.data_queue_ns") : nullptr;
+}
+
+const CeStats& LciBackend::stats() const {
+  stats_.malformed_msgs = malformed_ + dev_.malformed_frames();
+  return stats_;
 }
 
 void LciBackend::set_wake_callback(std::function<void()> fn) {
@@ -327,11 +333,12 @@ void LciBackend::on_am_arrival(mlci::Request&& req) {
 }
 
 void LciBackend::handle_handshake(mlci::Request&& req) {
-  assert(req.payload != nullptr && "handshake must carry a body");
-  const auto parsed = HandshakeView::parse(req.payload->data(),
-                                           req.payload->size());
+  const auto parsed =
+      req.payload != nullptr
+          ? HandshakeView::parse(req.payload->data(), req.payload->size())
+          : std::nullopt;
   if (!parsed) {
-    ++stats_.malformed_msgs;
+    ++malformed_;
     return;
   }
   const HandshakeView& v = *parsed;
@@ -416,7 +423,7 @@ void LciBackend::dispatch_data_handle(DataHandle&& h) {
     if (it == tags_.end()) {
       // r_tag came off the wire in the handshake: with no callback
       // registered for it the put completes unannounced, counted.
-      ++stats_.malformed_msgs;
+      ++malformed_;
       return;
     }
     std::optional<des::ChargeSpan> span;
@@ -513,7 +520,7 @@ int LciBackend::progress() {
       if (it == tags_.end()) {
         // The tag came off the wire: an AM no callback is registered for
         // is dropped, counted.
-        ++stats_.malformed_msgs;
+        ++malformed_;
         ++processed;
         continue;
       }

@@ -62,7 +62,9 @@ class LciBackend final : public CommEngine {
   void peer_failed(int remote) override;
   bool idle() const override;
   void set_wake_callback(std::function<void()> fn) override;
-  const CeStats& stats() const override { return stats_; }
+  /// malformed_msgs counts handshakes that failed to parse, frames naming
+  /// an unregistered tag, and the mlci frames the device dropped unread.
+  const CeStats& stats() const override;
   void set_recorder(obs::Recorder* rec) override;
 
   /// The progress thread (null when disabled) — exposed so experiments can
@@ -152,7 +154,8 @@ class LciBackend final : public CommEngine {
   mlci::Device& dev_;
   des::Engine& eng_;
   CeConfig cfg_;
-  CeStats stats_;
+  mutable CeStats stats_;  ///< malformed_msgs refreshed by stats()
+  std::uint64_t malformed_ = 0;
   std::unordered_map<Tag, AmTagInfo> tags_;
 
   std::deque<AmHandle> am_fifo_;

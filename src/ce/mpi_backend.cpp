@@ -385,8 +385,10 @@ void MpiBackend::peer_failed(int remote) {
 }
 
 bool MpiBackend::idle() const {
+  // Unmatched arrivals count as work in flight: an AM for a tag this
+  // engine never registered would otherwise sit unseen forever.
   return pending_.empty() && rank_.pending_incoming() == 0 &&
-         data_active_ == 0;
+         rank_.unexpected_messages() == 0 && data_active_ == 0;
 }
 
 }  // namespace ce

@@ -32,7 +32,9 @@ struct ExperimentResult {
   ce::CeStats ce_stats;             ///< summed over all engines
   double tts_s = 0;                 ///< time-to-solution, seconds
   /// Ok on fault-free or fully recovered runs; an error status when the
-  /// graph could not be completed (fault tolerance fails closed).
+  /// graph could not be completed.  Every run fails closed, tolerant or
+  /// not (a non-tolerant run that dropped input it needed reports
+  /// ErrDeadlock).
   amt::RunStatus run_status = amt::RunStatus::Ok;
   amt::LatencyStats latency;        ///< hop + end-to-end comm latency
   amt::NodeStats runtime_stats;     ///< aggregated counters

@@ -1,23 +1,9 @@
 #include "mlci/lci.hpp"
 
-#include <cassert>
 #include <cstring>
 #include <utility>
 
 namespace mlci {
-namespace {
-
-// WireHeader::kind values for the mlci protocol.
-enum : std::uint16_t {
-  kAmImmediate = 1,
-  kAmBuffered = 2,
-  kRts = 3,
-  kCts = 4,
-  kData = 5,
-  kPut = 6,  // native one-sided put (§7 future-work feature)
-};
-
-}  // namespace
 
 Lci::Lci(net::Fabric& fabric, Config config) : fabric_(fabric), cfg_(config) {
   const int n = fabric.num_nodes();
@@ -252,7 +238,7 @@ void Device::handle_incoming(net::Message& m) {
       handle_put(m);
       break;
     default:
-      assert(false && "unknown mlci message kind");
+      ++malformed_frames_;  // unknown kind
   }
 }
 
@@ -320,7 +306,7 @@ void Device::handle_cts(net::Message& m) {
         });
     return;
   }
-  assert(false && "CTS for unknown direct send");
+  ++malformed_frames_;  // no direct send of ours is waiting for this CTS
 }
 
 void Device::handle_data(net::Message& m) {
@@ -329,7 +315,10 @@ void Device::handle_data(net::Message& m) {
   const std::uint64_t key =
       m.hdr.imm[0] ^ (static_cast<std::uint64_t>(m.src) << 48);
   auto it = matched_recvs_.find(key);
-  assert(it != matched_recvs_.end() && "DATA without matched recv");
+  if (it == matched_recvs_.end()) {
+    ++malformed_frames_;  // no matched receive of ours is waiting for it
+    return;
+  }
   DirectRecv dr = std::move(it->second);
   matched_recvs_.erase(it);
   const auto n = static_cast<std::size_t>(m.hdr.size);

@@ -38,6 +38,16 @@ namespace mlci {
 
 using Tag = std::uint64_t;
 
+/// WireHeader::kind values of the mlci protocol.
+enum WireKind : std::uint16_t {
+  kAmImmediate = 1,
+  kAmBuffered = 2,
+  kRts = 3,   ///< Direct rendezvous; imm[0] = sender's send id
+  kCts = 4,   ///< clear-to-send; imm[0] = the sender's send id, echoed
+  kData = 5,  ///< Direct bulk data; imm[0] = the sender's send id
+  kPut = 6,   ///< native one-sided put (§7 future-work feature)
+};
+
 enum class Status {
   Ok,
   Retry,    ///< insufficient resources; progress and resubmit
@@ -201,6 +211,9 @@ class Device {
   // --- introspection -------------------------------------------------------
   int free_packets() const { return packets_free_; }
   int free_direct_slots() const { return direct_free_; }
+  /// Frames dropped unread: an unknown kind, or a CTS / DATA whose id names
+  /// no Direct send / matched receive here (stale, cancelled or made up).
+  std::uint64_t malformed_frames() const { return malformed_frames_; }
 
   /// Registers a hook invoked whenever hardware activity occurs for this
   /// device (arrival or local completion).  A dedicated progress thread
@@ -270,6 +283,7 @@ class Device {
   std::vector<DirectSend> direct_sends_;       ///< outstanding Direct sends
   std::unordered_map<std::uint64_t, DirectRecv> matched_recvs_;
   std::uint64_t next_direct_id_ = 1;
+  std::uint64_t malformed_frames_ = 0;
   std::function<void()> notifier_;
 
   void notify() {

@@ -158,6 +158,10 @@ class Rank {
   /// (visible for tests and instrumentation).
   std::size_t pending_incoming() const { return incoming_.size() - head_; }
 
+  /// Arrived messages no posted receive has matched yet.  A message whose
+  /// tag no receive will ever name stays here for good.
+  std::size_t unexpected_messages() const { return unexpected_.size(); }
+
   /// Requests allocated and not yet freed, in any state.
   std::size_t live_requests() const {
     return slots_.size() - free_slots_.size();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -101,6 +102,271 @@ TEST_P(RtBackends, MalformedControlMessagesAreDroppedAndCounted) {
   EXPECT_EQ(rt.aggregate_stats().malformed_msgs, 3u);
   EXPECT_EQ(rt.total_tasks_executed(), 21u);  // the graph is unaffected
   EXPECT_EQ(graph.final_value(), 20);
+}
+
+// ---------------------------------------------------------------------------
+// Stale, duplicated and damaged protocol input with tolerance off.  Every
+// case is dropped and counted, and the run ends in a defined RunStatus;
+// none aborts.
+
+using amt::RunStatus;
+using amt::TaskKey;
+using amt::wire::ActivationRecord;
+
+/// Two producers on rank 0 (A = (0,0), B = (0,1)) feeding the two inputs
+/// of one consumer on rank 1 (C = (1,0)), with 4 KiB virtual payloads.
+class JoinGraph final : public amt::TaskGraphDef {
+ public:
+  int num_inputs(const TaskKey& t) const override {
+    return t.cls == 1 ? 2 : 0;
+  }
+  int num_outputs(const TaskKey& t) const override {
+    return t.cls == 0 ? 1 : 0;
+  }
+  int rank_of(const TaskKey& t) const override { return t.cls; }
+  void successors(const TaskKey& t, int,
+                  std::vector<amt::Dep>& out) const override {
+    if (t.cls == 0) out.push_back(amt::Dep{TaskKey{1, 0}, t.i});
+  }
+  des::Duration execute(const TaskKey& t, amt::RunContext& ctx) override {
+    if (t.cls == 0) ctx.set_output(0, amt::DataCopy::virt(4096));
+    return 1000;
+  }
+  void initial_tasks(int rank, std::vector<TaskKey>& out) const override {
+    if (rank == 0) out.insert(out.end(), {TaskKey{0, 0}, TaskKey{0, 1}});
+  }
+  std::uint64_t total_tasks() const override { return 3; }
+};
+
+/// C = (1,0) on rank 1 joins A = (0,0), a control-only flow from rank 0,
+/// and B = (0,1), a local producer that can start only once the long task
+/// L = (2,0) ahead of it frees rank 1's worker (run with one worker).
+class LateJoinGraph final : public amt::TaskGraphDef {
+ public:
+  int num_inputs(const TaskKey& t) const override {
+    return t.cls == 1 ? 2 : 0;
+  }
+  int num_outputs(const TaskKey& t) const override {
+    return t.cls == 0 ? 1 : 0;
+  }
+  int rank_of(const TaskKey& t) const override {
+    return t.cls == 0 && t.i == 0 ? 0 : 1;
+  }
+  void successors(const TaskKey& t, int,
+                  std::vector<amt::Dep>& out) const override {
+    if (t.cls == 0) out.push_back(amt::Dep{TaskKey{1, 0}, t.i});
+  }
+  des::Duration execute(const TaskKey& t, amt::RunContext& ctx) override {
+    if (t.cls == 0) ctx.set_output(0, amt::DataCopy::virt(0));
+    return t.cls == 2 ? 100 * des::kMicrosecond : 1000;
+  }
+  void initial_tasks(int rank, std::vector<TaskKey>& out) const override {
+    if (rank == 0) out.push_back(TaskKey{0, 0});
+    if (rank == 1) out.insert(out.end(), {TaskKey{2, 0}, TaskKey{0, 1}});
+  }
+  std::uint64_t total_tasks() const override { return 4; }
+};
+
+/// Polls every 100 ns of simulated time and runs `inject` once, from event
+/// context, the first time `ready` holds.  Gives up after a bounded number
+/// of polls so a condition that never holds cannot keep the queue alive.
+struct InjectWhen {
+  des::Engine& eng;
+  std::function<bool()> ready;
+  std::function<void()> inject;
+  int polls_left = 100000;
+  bool fired = false;
+
+  void arm() {
+    eng.schedule_after(100, [this] {
+      if (ready()) {
+        inject();
+        fired = true;
+      } else if (--polls_left > 0) {
+        arm();
+      }
+    });
+  }
+};
+
+ActivationRecord record(TaskKey producer, std::uint64_t size, int src_rank) {
+  ActivationRecord rec;
+  rec.flow = amt::FlowKey{producer, 0};
+  rec.size = size;
+  rec.src_rank = src_rank;
+  return rec;
+}
+
+ce::Status send_activate(ce::CommEngine& from, int dst,
+                         const std::vector<ActivationRecord>& recs) {
+  const auto buf = amt::wire::pack_activate(recs);
+  return from.send_am(amt::wire::kTagActivate, dst, buf.data(), buf.size());
+}
+
+ce::Status send_getdata(ce::CommEngine& from, int dst, TaskKey producer,
+                        std::uint64_t size) {
+  amt::wire::GetDataMsg g;
+  g.flow = amt::FlowKey{producer, 0};
+  g.rsize = size;
+  return from.send_am(amt::wire::kTagGetData, dst, &g, sizeof g);
+}
+
+ce::Status send_data_arrived(ce::CommEngine& from, int dst, TaskKey producer) {
+  amt::wire::DataArrivedMsg d;
+  d.flow = amt::FlowKey{producer, 0};
+  return from.send_am(amt::wire::kTagDataArrived, dst, &d, sizeof d);
+}
+
+TEST(RunState, FirstErrorWins) {
+  amt::RunState st;
+  EXPECT_TRUE(st.ok());
+  st.fail(RunStatus::ErrTileLost);
+  st.fail(RunStatus::ErrDeadlock);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.status, RunStatus::ErrTileLost);
+}
+
+TEST_P(RtBackends, InputDeliveredTwiceIsDroppedAndCounted) {
+  // A's record fills C's first input at activation; B runs only after
+  // L, 100 us later.  A copy of A's record lands in between: the filled
+  // slot is kept.
+  RtWorld w(2, GetParam());
+  LateJoinGraph graph;
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  Runtime rt(w.eng, w.fab, w.comm, graph, cfg);
+  ce::Status st = ce::Status::ErrTooLarge;
+  w.eng.schedule_at(20 * des::kMicrosecond, [&] {
+    st = send_activate(w.comm.engine(0), 1, {record(TaskKey{0, 0}, 0, 0)});
+  });
+  rt.run();
+  EXPECT_EQ(st, ce::Status::Ok);
+  EXPECT_EQ(rt.aggregate_stats().dup_inputs_dropped, 1u);
+  EXPECT_EQ(rt.run_status(), RunStatus::Ok);
+  EXPECT_EQ(rt.total_tasks_executed(), 4u);
+}
+
+TEST_P(RtBackends, DuplicateActivationIsDroppedAndDeadlockIsReported) {
+  // Two made-up records for a flow whose producer (T5, rank 1) has not
+  // run: the first starts a fetch that the holder drops as unknown, the
+  // second duplicates that fetch, and so does the genuine record later.
+  // T6 never gets its input, and the run says so instead of asserting.
+  RtWorld w(2, GetParam());
+  ChainGraph graph(8, 2, /*real_data=*/false, 4096);
+  Runtime rt(w.eng, w.fab, w.comm, graph);
+  const ActivationRecord fake = record(TaskKey{0, 5}, 4096, 1);
+  w.eng.schedule_at(1, [&] {
+    ASSERT_EQ(send_activate(w.comm.engine(1), 0, {fake, fake}),
+              ce::Status::Ok);
+  });
+  rt.run();
+  EXPECT_EQ(rt.aggregate_stats().stale_activations, 3u);
+  EXPECT_EQ(rt.run_status(), RunStatus::ErrDeadlock);
+  EXPECT_EQ(rt.total_tasks_executed(), 6u);
+}
+
+TEST_P(RtBackends, RecordWithNoLocalConsumerIsDroppedAndCounted) {
+  RtWorld w(2, GetParam());
+  ChainGraph graph(4, 2, /*real_data=*/false, 4096);
+  Runtime rt(w.eng, w.fab, w.comm, graph);
+  // T0's flow feeds T1 on rank 1; rank 0 has nobody to deliver it to.
+  w.eng.schedule_at(1, [&] {
+    ASSERT_EQ(send_activate(w.comm.engine(1), 0,
+                            {record(TaskKey{0, 0}, 4096, 1)}),
+              ce::Status::Ok);
+  });
+  rt.run();
+  EXPECT_EQ(rt.aggregate_stats().stale_activations, 1u);
+  EXPECT_EQ(rt.run_status(), RunStatus::Ok);
+  EXPECT_EQ(rt.total_tasks_executed(), 4u);
+}
+
+TEST_P(RtBackends, RecordNamingRanksOutsideTheWorldIsDroppedAndCounted) {
+  RtWorld w(2, GetParam());
+  ChainGraph graph(4, 2, /*real_data=*/false, 4096);
+  Runtime rt(w.eng, w.fab, w.comm, graph);
+  ActivationRecord bad_subtree = record(TaskKey{0, 0}, 4096, 0);
+  bad_subtree.subtree = {7};
+  w.eng.schedule_at(1, [&] {
+    ASSERT_EQ(send_activate(w.comm.engine(0), 1,
+                            {record(TaskKey{0, 0}, 4096, 2),
+                             record(TaskKey{0, 0}, 4096, -1),
+                             record(TaskKey{0, 0}, 4096, 4096), bad_subtree}),
+              ce::Status::Ok);
+  });
+  rt.run();
+  const auto agg = rt.aggregate_stats();
+  EXPECT_EQ(agg.malformed_msgs, 4u);
+  EXPECT_EQ(agg.stale_activations, 0u);
+  EXPECT_EQ(rt.run_status(), RunStatus::Ok);
+  EXPECT_EQ(rt.total_tasks_executed(), 4u);
+}
+
+TEST_P(RtBackends, UnknownFlowGetDataAndArrivalAreDroppedAndCounted) {
+  RtWorld w(2, GetParam());
+  ChainGraph graph(4, 2, /*real_data=*/false, 4096);
+  Runtime rt(w.eng, w.fab, w.comm, graph);
+  w.eng.schedule_at(1, [&] {
+    ASSERT_EQ(send_getdata(w.comm.engine(0), 1, TaskKey{0, 99}, 4096),
+              ce::Status::Ok);
+    ASSERT_EQ(send_data_arrived(w.comm.engine(0), 1, TaskKey{0, 99}),
+              ce::Status::Ok);
+  });
+  rt.run();
+  EXPECT_EQ(rt.aggregate_stats().stale_activations, 2u);
+  EXPECT_EQ(rt.run_status(), RunStatus::Ok);
+  EXPECT_EQ(rt.total_tasks_executed(), 4u);
+}
+
+TEST_P(RtBackends, DuplicateGetDataServesTwiceAndDropsTheSecondArrival) {
+  // A second GET DATA for T0's flow while the first is in flight: the
+  // holder serves both, so one put completes after the flow retired, and
+  // the requester drops the second arrival.
+  RtWorld w(2, GetParam());
+  ChainGraph graph(4, 2, /*real_data=*/false, 1 << 20);
+  Runtime rt(w.eng, w.fab, w.comm, graph);
+  ce::Status st = ce::Status::ErrTooLarge;
+  InjectWhen inj{w.eng, [&] { return rt.node(1).inflight_fetches() == 1; },
+                 [&] {
+                   st = send_getdata(w.comm.engine(1), 0, TaskKey{0, 0},
+                                     1 << 20);
+                 }};
+  inj.arm();
+  rt.run();
+  ASSERT_TRUE(inj.fired);
+  EXPECT_EQ(st, ce::Status::Ok);
+  EXPECT_EQ(rt.aggregate_stats().stale_activations, 1u);
+  EXPECT_EQ(rt.run_status(), RunStatus::Ok);
+  EXPECT_EQ(rt.total_tasks_executed(), 4u);
+}
+
+TEST_P(RtBackends, ArrivalForAFetchNotYetRequestedIsDroppedAndCounted) {
+  // One fetch in flight at a time: B's waits in the fetch queue while A's
+  // is on the wire.  An arrival naming B before its GET DATA left is
+  // dropped, and B's queued fetch still goes out in turn.
+  RtWorld w(2, GetParam());
+  JoinGraph graph;
+  RuntimeConfig cfg;
+  cfg.max_inflight_fetches = 1;
+  Runtime rt(w.eng, w.fab, w.comm, graph, cfg);
+  InjectWhen inj{w.eng,
+                 [&] {
+                   return rt.node(1).pending_fetches() == 2 &&
+                          rt.node(1).inflight_fetches() == 1;
+                 },
+                 [&] {
+                   ASSERT_EQ(send_data_arrived(w.comm.engine(0), 1,
+                                               TaskKey{0, 1}),
+                             ce::Status::Ok);
+                 }};
+  inj.arm();
+  rt.run();
+  ASSERT_TRUE(inj.fired);
+  const auto agg = rt.aggregate_stats();
+  EXPECT_EQ(agg.stale_activations, 1u);
+  EXPECT_EQ(agg.getdata_sent, 2u);
+  EXPECT_EQ(rt.run_status(), RunStatus::Ok);
+  EXPECT_EQ(rt.total_tasks_executed(), 3u);
 }
 
 TEST_P(RtBackends, MtActivateProducesSameResult) {

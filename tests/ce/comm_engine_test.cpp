@@ -432,6 +432,19 @@ TEST(CeMpiBackend, MalformedMmpiFramesSurfaceInCeStats) {
   EXPECT_TRUE(w.world.all_idle());
 }
 
+TEST(CeMpiBackend, AmForAnUnregisteredTagKeepsTheEngineBusy) {
+  CeWorld w(2, BackendKind::Mpi);
+  w.engine(0).tag_reg(kActivate, [](auto&&...) {}, nullptr, 64);
+  // Node 1 never registers kActivate: no receive will ever match the AM,
+  // so it stays in mmpi's unexpected queue, and idle() must say so.
+  EXPECT_EQ(w.engine(0).send_am(kActivate, 1, "x", 1), ce::Status::Ok);
+  w.run();
+  EXPECT_EQ(w.engine(1).stats().ams_delivered, 0u);
+  EXPECT_TRUE(w.engine(0).idle());
+  EXPECT_FALSE(w.engine(1).idle());
+  EXPECT_FALSE(w.world.all_idle());
+}
+
 // The backend counts the data transfers holding array slots instead of
 // scanning the array.  Puts issued from inside AM callbacks and
 // remote-completion callbacks, a cap small enough to defer, and a peer
@@ -661,6 +674,27 @@ TEST(CeLciBackend, AmForAnUnregisteredTagIsDroppedAndCounted) {
   w.run();
   EXPECT_EQ(w.engine(1).stats().ams_delivered, 0u);
   EXPECT_EQ(w.engine(1).stats().malformed_msgs, 1u);
+  EXPECT_TRUE(w.world.all_idle());
+}
+
+TEST(CeLciBackend, MalformedMlciFramesSurfaceInCeStats) {
+  CeWorld w(2, BackendKind::Lci);
+  // CTS and DATA naming no Direct transfer of node 1's, and a kind mlci
+  // does not define: each is dropped unread by node 1's LCI device.
+  const std::uint16_t kinds[] = {mlci::kCts, mlci::kData, 99};
+  for (const std::uint16_t kind : kinds) {
+    net::Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.wire_bytes = 64;
+    m.hdr.proto = net::kProtoLci;
+    m.hdr.kind = kind;
+    m.hdr.imm[0] = 0x0BAD'0000'0001ULL;
+    w.fab.nic(0).send(std::move(m));
+  }
+  w.run();
+  EXPECT_EQ(w.engine(1).stats().malformed_msgs, 3u);
+  EXPECT_EQ(w.engine(0).stats().malformed_msgs, 0u);
   EXPECT_TRUE(w.world.all_idle());
 }
 

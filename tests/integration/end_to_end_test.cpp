@@ -48,6 +48,16 @@ TEST_P(E2eBackends, RealTlrCholeskyOnSkewedClusterVerifies) {
   EXPECT_GE(agg.latency.hop_mean_ns(), 0.0);
   // Corrected latencies must be far below the injected multi-ms skew.
   EXPECT_LT(agg.latency.e2e_mean_ns(), 2e6);
+  // A fault-free run drops nothing: a nonzero count here is a protocol
+  // bug that the runtime tolerated instead of aborting on.
+  EXPECT_EQ(runtime.run_status(), amt::RunStatus::Ok);
+  EXPECT_EQ(agg.stale_activations, 0u);
+  EXPECT_EQ(agg.dup_inputs_dropped, 0u);
+  EXPECT_EQ(agg.dup_completions_suppressed, 0u);
+  EXPECT_EQ(agg.malformed_msgs, 0u);
+  for (int n = 0; n < comm.size(); ++n) {
+    EXPECT_EQ(comm.engine(n).stats().malformed_msgs, 0u) << "node " << n;
+  }
 }
 
 TEST_P(E2eBackends, PingPongBandwidthIsPhysical) {

@@ -68,6 +68,14 @@ TEST(Fingerprint, Fig5PipelineIsBitIdenticalToBaseline) {
     EXPECT_EQ(res.fabric_messages, fp.msgs);
     EXPECT_EQ(res.fabric_bytes, fp.bytes);
     EXPECT_EQ(res.runtime_stats.crit.finish_g, fp.crit);
+    // A fault-free run drops nothing: a nonzero count here is a protocol
+    // bug that the runtime tolerated instead of aborting on.
+    EXPECT_EQ(res.run_status, amt::RunStatus::Ok);
+    EXPECT_EQ(res.runtime_stats.stale_activations, 0u);
+    EXPECT_EQ(res.runtime_stats.dup_inputs_dropped, 0u);
+    EXPECT_EQ(res.runtime_stats.dup_completions_suppressed, 0u);
+    EXPECT_EQ(res.runtime_stats.malformed_msgs, 0u);
+    EXPECT_EQ(res.ce_stats.malformed_msgs, 0u);
   }
 }
 

@@ -310,6 +310,93 @@ TEST_P(MlciConcurrentDirect, AllTransfersCompleteOnce) {
 INSTANTIATE_TEST_SUITE_P(Counts, MlciConcurrentDirect,
                          ::testing::Values(1, 4, 16, 64));
 
+// CTS and DATA frames name a Direct transfer by the send id they carry.  A
+// frame whose id names no transfer waiting for it, and a frame of unknown
+// kind, are dropped and counted instead of aborting.
+void inject(World& w, int src, int dst, std::uint16_t kind, std::uint64_t id) {
+  net::Message m;
+  m.src = src;
+  m.dst = dst;
+  m.wire_bytes = 64;
+  m.hdr.proto = net::kProtoLci;
+  m.hdr.kind = kind;
+  m.hdr.tag = 5;
+  m.hdr.size = 8;
+  m.hdr.imm[0] = id;
+  w.fab.nic(src).send(std::move(m));
+}
+
+TEST(Mlci, FrameOfUnknownKindIsDroppedAndCounted) {
+  World w(2);
+  int ams = 0;
+  w.lci.device(1).set_am_handler([&](Request&&) { ++ams; });
+  inject(w, 0, 1, 99, 0);
+  w.run();
+  EXPECT_EQ(w.lci.device(1).malformed_frames(), 1u);
+  EXPECT_EQ(w.lci.device(1).pending_hw_events(), 0u);
+  // The device still works.
+  ASSERT_EQ(w.lci.device(0).sends(1, 1, "x", 1), Status::Ok);
+  w.run();
+  EXPECT_EQ(ams, 1);
+  EXPECT_EQ(w.lci.device(0).malformed_frames(), 0u);
+}
+
+TEST(Mlci, CtsNamingNoWaitingSendIsDroppedAndCounted) {
+  World w(2);
+  std::vector<char> src(4096, 'c');
+  std::vector<char> dst(4096, 0);
+  CompQueue send_cq, recv_cq;
+  // Send id 1 waits for its CTS: no receive is posted on device 1 yet.
+  ASSERT_EQ(w.lci.device(0).sendd(1, 5, src.data(), src.size(),
+                                  Comp::queue(&send_cq)),
+            Status::Ok);
+  inject(w, 1, 0, mlci::kCts, 2);  // an id device 0 never issued
+  w.run();
+  EXPECT_EQ(w.lci.device(0).malformed_frames(), 1u);
+  EXPECT_FALSE(send_cq.poll().has_value());
+
+  // The waiting send was not disturbed.
+  ASSERT_EQ(w.lci.device(1).recvd(0, 5, dst.data(), dst.size(),
+                                  Comp::queue(&recv_cq)),
+            Status::Ok);
+  w.run();
+  EXPECT_TRUE(send_cq.poll().has_value());
+  EXPECT_TRUE(recv_cq.poll().has_value());
+  EXPECT_EQ(dst[9], 'c');
+
+  // A stale CTS for the completed send is dropped too.
+  inject(w, 1, 0, mlci::kCts, 1);
+  w.run();
+  EXPECT_EQ(w.lci.device(0).malformed_frames(), 2u);
+}
+
+TEST(Mlci, DataWithoutMatchedReceiveIsDroppedAndCounted) {
+  World w(2);
+  std::vector<char> src(4096, 'd');
+  std::vector<char> dst(4096, 0);
+  CompQueue cq;
+  // Posted but not matched: no RTS has arrived for it.
+  ASSERT_EQ(w.lci.device(1).recvd(0, 5, dst.data(), dst.size(),
+                                  Comp::queue(&cq)),
+            Status::Ok);
+  const int free_slots = w.lci.device(1).free_direct_slots();
+  inject(w, 0, 1, mlci::kData, 1);
+  w.run();
+  EXPECT_EQ(w.lci.device(1).malformed_frames(), 1u);
+  EXPECT_FALSE(cq.poll().has_value());
+  EXPECT_EQ(w.lci.device(1).free_direct_slots(), free_slots);
+  EXPECT_EQ(dst[0], 0);
+
+  // The posted receive still matches the real transfer.
+  ASSERT_EQ(w.lci.device(0).sendd(1, 5, src.data(), src.size(),
+                                  Comp::none()),
+            Status::Ok);
+  w.run();
+  EXPECT_TRUE(cq.poll().has_value());
+  EXPECT_EQ(dst[0], 'd');
+  EXPECT_EQ(w.lci.device(1).malformed_frames(), 1u);
+}
+
 }  // namespace
 
 // --- native one-sided put (§7 future-work feature) --------------------------
